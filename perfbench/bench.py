@@ -31,17 +31,23 @@ from repro.obs import trace as _trace
 
 from perfbench import probes as _probes
 from perfbench.stages import (
-    CompileResult,
+    CompileStage,
     ReplayResult,
+    ReplayStage,
     ServeResult,
     Tally,
     clock,
-    compile_stage,
     median,
-    replay_stage,
+    pace,
     serve_stage,
 )
-from perfbench.workloads import MATMAT_K, WORKLOADS, Workload, build_inputs
+from perfbench.workloads import (
+    MATMAT_K,
+    WORKLOADS,
+    Workload,
+    build_inputs,
+    generate_corpus,
+)
 
 #: End-to-end metrics (``--trace 0``): name -> unit.
 END_TO_END = {
@@ -102,49 +108,75 @@ PER_LAYER = {
     "trace.overhead": "ratio",
 }
 
-#: Setups per run; ``setup_s`` is their median.
-SETUP_REPEATS = 3
+#: Corpus generation repeats at least this many times, and until the
+#: repeats add up to ``MIN_SETUP_S``; ``setup_s`` is their median.
+SETUP_REPEATS = 5
+MIN_SETUP_S = 2.0
 #: Share of ``--seconds`` spent in replay sweeps (half matvec, half
-#: matmat); the serving windows take most of the rest (workloads.py).
-REPLAY_SHARE = 0.25
+#: matmat); the serving windows take about as long again (workloads.py).
+REPLAY_SHARE = 0.6
 
 
 @dataclass
 class Pass:
-    compiled: CompileResult
+    compiled: CompileStage
     replay: ReplayResult
     serve: ServeResult | None
 
 
-def _setup(workload: Workload, seed: int, seconds: float):
-    times = []
-    for _ in range(SETUP_REPEATS):
+class _Setup:
+    """Generations of the corpus by the program's own generators; the
+    benchmark's own draws of values, operands and arrivals are not part
+    of ``setup_s``.  The first gives the run its inputs, and the rest are
+    paced over the run."""
+
+    def __init__(self, workload: Workload, seed: int):
+        self.workload, self.seed = workload, seed
+        self.times: list[float] = []
+
+    def generate(self):
         started = clock()
-        inputs = build_inputs(workload, seed, seconds)
-        times.append(clock() - started)
-    return inputs, times
+        corpus = generate_corpus(self.workload.name, self.seed)
+        self.times.append(clock() - started)
+        return corpus
+
+    def advance(self, share: float) -> None:
+        pace(self.times, share, MIN_SETUP_S, SETUP_REPEATS, self.generate)
 
 
 def _run_pass(workload, inputs, seconds, workdir, tally, serve,
-              untraced=nullcontext) -> Pass:
+              untraced=nullcontext, also=lambda share: None,
+              repeat=True) -> Pass:
+    """Compile, then serve with the further compile passes (with
+    ``repeat``), the replay rounds and ``also`` paced between the serving
+    windows (without serving, back to back)."""
     with _trace.span("bench.stage.compile", cat="bench"):
-        compiled = compile_stage(workload, inputs, workdir, tally, untraced)
-    with _trace.span("bench.stage.replay", cat="bench"):
-        replay = replay_stage(
-            inputs, compiled, seconds * REPLAY_SHARE, tally, untraced
-        )
+        compiled = CompileStage(workload, inputs, workdir, tally, untraced,
+                                repeat=repeat)
+    replay = ReplayStage(
+        inputs, compiled, seconds * REPLAY_SHARE, tally, untraced
+    )
+
+    def between(share: float) -> None:
+        also(share)
+        with _trace.span("bench.stage.compile", cat="bench"):
+            compiled.advance(share)
+        replay.advance(share)
+
     served = None
     if serve:
         with _trace.span("bench.stage.serve", cat="bench"):
-            served = serve_stage(workload, inputs, compiled, tally, untraced)
-    return Pass(compiled, replay, served)
+            served = serve_stage(workload, inputs, compiled, tally,
+                                 untraced, between=between)
+    between(1.0)
+    return Pass(compiled, replay.result(), served)
 
 
 def _metric(value: float, unit: str, samples: int) -> dict:
     return {"value": float(value), "unit": unit, "samples": int(samples)}
 
 
-def _end_to_end(run: Pass, inputs, setup_times) -> dict:
+def _end_to_end(run: Pass, inputs, setup_times: list[float]) -> dict:
     compiled, replay, served = run.compiled, run.replay, run.serve
     nnz = compiled.nnz
     corpus = len(inputs.matrices)
@@ -153,10 +185,10 @@ def _end_to_end(run: Pass, inputs, setup_times) -> dict:
         "setup_s": (median(setup_times), len(setup_times)),
         "peak_rss_mb": (peak_kb / 1024.0, 1),
         "compile_nnz_per_s": (nnz / compiled.cold_s,
-                              corpus * len(compiled.cold_times)),
+                              sum(map(len, compiled.cold_times))),
         "sim_utilization": (compiled.utilization, corpus),
         "refresh_s": (compiled.refresh_s,
-                      corpus * len(compiled.refresh_times)),
+                      sum(map(len, compiled.refresh_times))),
         "matvec_nnz_per_s": (nnz / replay.matvec_s, replay.matvec_sweeps),
         "matmat_nnz_per_s": (nnz * MATMAT_K / replay.matmat_s,
                              replay.matmat_sweeps),
@@ -197,8 +229,8 @@ def _stage_times(run: Pass) -> list[float]:
     ]
 
 
-def _cache_totals(compiled: CompileResult) -> dict:
-    stats = [*compiled.retired_cache_stats, compiled.pipeline.cache.stats]
+def _cache_totals(compiled: CompileStage) -> dict:
+    stats = compiled.cache_stats()
     lookups = sum(s.lookups for s in stats)
     hits = sum(s.hits + s.refreshes for s in stats)
     return {
@@ -248,7 +280,7 @@ def _per_layer(workload, inputs, traced: Pass, untraced: Pass,
         "scatter.s": total("compile.scatter"),
         "scheduler.share": (
             total("bench.schedule_balanced", stage="compile")
-            / sum(compiled.cold_times + compiled.refresh_times)
+            / compiled.compile_s
         ),
         "scheduler.colors": compiled.colors,
         "scheduler.colors_over_bound": compiled.colors / bounds,
@@ -369,19 +401,23 @@ def run(root: Path, workload_name: str, seed: int, seconds: float,
     tally = Tally()
     extra: dict = {}
     try:
-        inputs, setup_times = _setup(workload, seed, seconds)
+        setup = _Setup(workload, seed)
+        inputs = build_inputs(workload, seed, seconds, setup.generate())
         if not trace:
             result = _run_pass(workload, inputs, seconds, workdir, tally,
-                               serve=True)
-            metrics = _end_to_end(result, inputs, setup_times)
+                               serve=True, also=setup.advance)
+            metrics = _end_to_end(result, inputs, setup.times)
         else:
+            # One pass of each compile kind on both sides: the per-layer
+            # figures are totals, and a second timed pass would only
+            # lengthen the run.
             untraced = _run_pass(workload, inputs, seconds, workdir,
-                                 Tally(), serve=False)
+                                 tally, serve=False, repeat=False)
             probes = _probes.Probes()
             with probes:
                 result = _run_pass(workload, inputs, seconds, workdir,
                                    tally, serve=True,
-                                   untraced=probes.paused)
+                                   untraced=probes.paused, repeat=False)
             summary = _probes.summarize(probes.tracer)
             metrics = _per_layer(workload, inputs, result, untraced,
                                  summary, probes.queue_wait_ms)

@@ -143,7 +143,8 @@ class SpanRow:
 @dataclass
 class SpanSummary:
     rows: dict[str, SpanRow]
-    #: Per span name, seconds spent inside each ``bench.stage.*`` span.
+    #: Per span name, seconds spent inside each ``bench.stage.*`` span
+    #: (the innermost one around it).
     by_stage: dict[str, dict[str, float]]
     dropped: int
 
@@ -199,9 +200,10 @@ def summarize(tracer: _trace.Tracer) -> SpanSummary:
                 open_spans.pop()
             if open_spans:
                 self_time[open_spans[-1]["name"]] -= event["dur_s"]
-                root = open_spans[0]["name"]
-                if root.startswith("bench.stage."):
-                    stage = by_stage.setdefault(root[len("bench.stage."):],
+                inner = next((s["name"] for s in reversed(open_spans)
+                              if s["name"].startswith("bench.stage.")), None)
+                if inner is not None:
+                    stage = by_stage.setdefault(inner[len("bench.stage."):],
                                                 {})
                     stage[event["name"]] = (
                         stage.get(event["name"], 0.0) + event["dur_s"]

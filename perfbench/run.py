@@ -3,7 +3,7 @@
 Usage, from the repository root::
 
     python3 perfbench/run.py --workload table3_compile --seed 1 \
-        --seconds 16 --trace 0
+        --seconds 12 --trace 0
 
 Prints a human-readable report, then, as the last line of standard
 output, one JSON object with ``correct``, ``attempted``, ``failed`` and
@@ -32,12 +32,10 @@ ROOT = Path(__file__).resolve().parent.parent
 #: tracing, trust-boundary validation, a pinned backend).
 GUARDED_ENV = ("GUST_FAULTS", "GUST_TRACE", "GUST_VALIDATE", "GUST_BACKEND")
 
-WORKLOAD_NAMES = ("table3_compile", "replay_steady", "serve_open_loop")
 
-
-def _parse(argv):
+def _parse(argv, workloads):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
+    parser.add_argument("--workload", required=True, choices=workloads)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -45,7 +43,6 @@ def _parse(argv):
 
 
 def main(argv=None) -> int:
-    args = _parse(argv)
     ambient = [name for name in GUARDED_ENV if os.environ.get(name)]
     if ambient:
         print(f"refusing to run: {', '.join(ambient)} set; unset it, since "
@@ -64,7 +61,9 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
     from perfbench import bench
+    from perfbench.workloads import WORKLOADS
 
+    args = _parse(argv, sorted(WORKLOADS))
     line, record = bench.run(ROOT, args.workload, args.seed, args.seconds,
                              bool(args.trace))
     path = bench.write_record(ROOT, record)

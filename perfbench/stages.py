@@ -4,22 +4,27 @@
    value refresh of every pattern through ``compile`` again (from the
    store in a fresh pipeline when the workload has one, else through the
    same pipeline's memory cache).
-2. **replay** — repeated ``CompiledSpmv.matvec`` and ``matmat`` sweeps
+2. **replay** — rounds of ``CompiledSpmv.matvec`` and ``matmat`` sweeps
    over the refreshed handles.
 3. **serve** — an ``SpmvServer`` with one worker fed by this thread in
    open loop: base-rate and high-rate windows alternating with the steps
    of a rate ladder, each window re-registering one tenant with new
    values half way through.
 
+After the first cold pass and the first refresh, the further compile
+passes and the replay rounds are paced (:func:`pace`) between the
+serving windows, so each metric samples the whole serving stage.
+
 Outputs are checked outside the timed regions: handles bit-for-bit
-against the scatter oracle and with ``allclose`` against SciPy CSR,
-replay sweeps against those checked results, and each served response
+against the scatter oracle and with ``allclose`` against SciPy CSR (or,
+compiled again, bit-for-bit against the first checked compile of the
+same matrix and values), replay sweeps against those checked results, and each served response
 against the oracle replay of the tenant version it may have used.
 """
 
 from __future__ import annotations
 
-import shutil
+import math
 import statistics
 import tempfile
 import time
@@ -34,6 +39,7 @@ import scipy.sparse
 
 from repro.core.backends import compile_plan
 from repro.core.pipeline import GustPipeline
+from repro.obs import trace as _trace
 from repro.serve.batcher import BatchPolicy
 from repro.serve.registry import MatrixRegistry
 from repro.serve.server import SpmvServer
@@ -56,10 +62,11 @@ def median(values) -> float:
     return float(statistics.median(values))
 
 
-#: A cold-compile or refresh pass of the corpus repeats until its passes
-#: add up to this many seconds; the reported time is their median.
-MIN_COLD_S = 4.0
-MIN_REFRESH_S = 1.0
+#: Cold-compile passes of the corpus, and refresh passes, which also
+#: repeat until they add up to ``MIN_REFRESH_S`` (see CompileStage).
+COLD_PASSES = 3
+REFRESH_PASSES = 3
+MIN_REFRESH_S = 6.0
 #: Closeness demanded of the GUST result against SciPy CSR.
 RTOL = 1e-9
 ATOL = 1e-9
@@ -101,11 +108,29 @@ def _oracle(plan):
     return compile_plan(plan, backend="scatter").kernel
 
 
-def _check_handle(handle, matrix, x, block, tally: Tally, label: str):
-    """Bit-for-bit against the scatter oracle, allclose against SciPy.
+def _check_handle(inputs: Inputs, index: int, handle, matrix, disk_hit,
+                  tally: Tally, label: str, checked=None):
+    """The store tier served what it should (``disk_hit`` of ``None``
+    means either way), and the handle of corpus matrix ``index`` is right:
+    bit-for-bit against the scatter oracle, allclose against SciPy; or,
+    given the ``checked`` outputs of an earlier handle of the same matrix
+    and values, bit-for-bit against those.
 
     Returns the checked ``(y, Y)`` so later sweeps compare against them.
     """
+    tally.attempt()
+    label = f"{inputs.names[index]} {label}"
+    served = handle.stats.preprocess.notes.get("disk_hit")
+    if disk_hit is not None and served != disk_hit:
+        tally.fail(f"{label}: disk_hit {served}, expected {disk_hit}")
+    x, block = inputs.vectors[index], inputs.blocks[index]
+    if checked is not None:
+        for kind, got, want in (("matvec", handle.matvec(x), checked[0]),
+                                ("matmat", handle.matmat(block), checked[1])):
+            if not np.array_equal(got, want):
+                tally.fail(f"{label}: {kind} differs from an earlier "
+                           f"checked compile")
+        return checked
     oracle = _oracle(handle.plan)
     reference = _csr(matrix)
     y, y_oracle = handle.matvec(x), oracle.matvec(x)
@@ -133,191 +158,295 @@ def _utilization(handles, length: int) -> float:
 # -- stage 1: compile ----------------------------------------------------------
 
 
-@dataclass
-class CompileResult:
-    #: Wall time of each cold-compile and each refresh pass of the corpus.
-    cold_times: list[float]
-    refresh_times: list[float]
-    nnz: int
-    utilization: float
-    #: Colors of the cold schedules, summed over the corpus.
-    colors: int
-    #: The refreshed handles (stage 2 replays these) and pipeline.
-    handles: list
-    pipeline: GustPipeline
-    #: Cache counters of the stage's earlier pipelines.
-    retired_cache_stats: list
-    backends: list[str]
-    expected_matvec: list[np.ndarray]
-    expected_matmat: list[np.ndarray]
-    store_dir: Path | None
+def pace(times: list[float], share: float, seconds: float, passes: int,
+         run) -> None:
+    """Call ``run()``, which appends one pass's time to ``times``, until
+    ``share`` of both ``seconds`` and ``passes`` is spent.
+
+    Paced over a run (``share`` rising to 1), a metric's passes sample the
+    whole run: on a shared machine, the host's speed changes in episodes
+    of seconds, and passes back to back would share one.
+    """
+    while (sum(times) < share * seconds
+           or len(times) < math.ceil(share * passes)):
+        run()
+
+
+def per_matrix_median(times: list[list[float]]) -> float:
+    """A pass's time with each matrix at its median: the sum over the
+    corpus of each matrix's median compile time."""
+    return sum(median(t) for t in times)
+
+
+class CompileStage:
+    """Cold compiles and value refreshes of the corpus.
+
+    Construction runs the first cold pass and the first refresh, which
+    give the handles the replay and serve stages use and the pipeline
+    whose cache serving shares.  With ``repeat``, :meth:`advance` runs the
+    further passes: cold passes one matrix at a time, so that a pass
+    spreads over the run, until there are ``COLD_PASSES``, and refreshes a
+    pass at a time until there are ``REFRESH_PASSES`` adding up to at
+    least ``MIN_REFRESH_S``.  Every compile is timed on its own, and a
+    stage's reported time is :func:`per_matrix_median`.  Further passes
+    run in pipelines of their own, so they leave serving's cache alone.
+    ``untraced()`` brackets the checks, which run between the timed
+    compiles.
+    """
+
+    def __init__(self, workload: Workload, inputs: Inputs, workdir: Path,
+                 tally: Tally, untraced=nullcontext, repeat: bool = True):
+        self.workload, self.inputs = workload, inputs
+        self.nnz = inputs.nnz
+        self._workdir, self._tally, self._untraced = workdir, tally, untraced
+        self._repeat = repeat
+        #: Per matrix, the wall time of each cold compile and of each
+        #: refresh; and the wall time of each whole refresh pass.
+        count = len(inputs.matrices)
+        self.cold_times: list[list[float]] = [[] for _ in range(count)]
+        self.refresh_times: list[list[float]] = [[] for _ in range(count)]
+        self._refresh_walls: list[float] = []
+        #: Checked ``(y, Y)`` per (value set, matrix index).
+        self._checked: dict[tuple[int, int], tuple] = {}
+        self._retired: list = []
+        self._backends: set[str] = set()
+        #: The pipeline serving shares (set by the first refresh); the
+        #: latest complete cold pass's pipeline (let go when the next pass
+        #: starts), store and value set; and the cold pass in progress:
+        #: pipeline, store and handles so far.
+        self.pipeline: GustPipeline | None = None
+        self._pipeline: GustPipeline | None = None
+        self.store_dir: Path | None = None
+        self._values: list[CooMatrix] = inputs.matrices
+        self._pending: tuple | None = None
+        cold = None
+        while cold is None:
+            cold = self._cold_step()
+        self.utilization = _utilization(cold, workload.length)
+        #: Colors of the cold schedules, summed over the corpus.
+        self.colors = sum(h.stats.preprocess.total_colors for h in cold)
+        #: The refreshed handles (stage 2 replays these) and their checked
+        #: outputs.
+        self.handles, expected, self.pipeline = self._refresh_pass()
+        self.expected_matvec, self.expected_matmat = expected
 
     @property
     def cold_s(self) -> float:
-        return median(self.cold_times)
+        return per_matrix_median(self.cold_times)
 
     @property
     def refresh_s(self) -> float:
-        return median(self.refresh_times)
+        return per_matrix_median(self.refresh_times)
 
+    @property
+    def compile_s(self) -> float:
+        """Wall time of every cold compile and refresh."""
+        return sum(map(sum, self.cold_times + self.refresh_times))
 
-def compile_stage(
-    workload: Workload,
-    inputs: Inputs,
-    workdir: Path,
-    tally: Tally,
-    untraced=nullcontext,
-) -> CompileResult:
-    """Cold compiles, then refreshes; ``untraced()`` brackets the
-    checks, which run between the timed passes."""
-    retired, cold_times, refresh_times = [], [], []
-    pipeline = None
+    @property
+    def backends(self) -> list[str]:
+        return sorted(self._backends)
 
-    def replace_pipeline(store_dir: Path | None) -> GustPipeline:
-        # Keep only the counters of a pipeline done with: its cache holds
-        # every schedule it compiled.
-        if pipeline is not None:
-            retired.append(pipeline.cache.stats)
+    def cache_stats(self) -> list:
+        """Cache counters of every pipeline the stage made."""
+        live = [self._pipeline, self.pipeline,
+                self._pending[0] if self._pending else None]
+        live = {id(p): p for p in live if p is not None}
+        return [*self._retired, *(p.cache.stats for p in live.values())]
+
+    def advance(self, share: float) -> None:
+        if not self._repeat:
+            return
+        compiles = share * COLD_PASSES * len(self.inputs.matrices)
+        while sum(map(len, self.cold_times)) < compiles:
+            self._cold_step()
+        pace(self._refresh_walls, share, MIN_REFRESH_S, REFRESH_PASSES,
+             self._refresh_pass)
+
+    def _new_pipeline(self, store_dir: Path | None) -> GustPipeline:
         return GustPipeline(
-            workload.length,
+            self.workload.length,
             algorithm="matching",
             cache=True,
             store=store_dir,
             require_bit_identical=True,
         )
 
-    while sum(cold_times) < MIN_COLD_S:
-        store_dir = (
-            Path(tempfile.mkdtemp(prefix="store-", dir=workdir))
-            if workload.use_store else None
-        )
-        pipeline = replace_pipeline(store_dir)
-        started = clock()
-        cold = [pipeline.compile(m) for m in inputs.matrices]
-        cold_times.append(clock() - started)
-        with untraced():
-            _check_pass(inputs, cold, inputs.matrices, 0.0, tally, "cold")
-    while True:
-        # In memory, alternate the two value sets so every pass is a real
-        # refresh, ending on ``refreshed`` (what later stages replay and
-        # serve).  With a store, each pass is a new process's view: an
-        # empty memory tier over the written store (the warm start).
-        values = (inputs.matrices
-                  if len(refresh_times) % 2 and not workload.use_store
-                  else inputs.refreshed)
-        if workload.use_store:
-            pipeline = replace_pipeline(store_dir)
-        started = clock()
-        warm = [pipeline.compile(m) for m in values]
-        refresh_times.append(clock() - started)
-        with untraced():
-            expected = _check_pass(
-                inputs, warm, values, 1.0 if workload.use_store else None,
-                tally, "refreshed",
+    def _retire(self, pipeline: GustPipeline | None) -> None:
+        # Keep only the counters of a pipeline done with: its cache holds
+        # every schedule it compiled.
+        if pipeline is not None and pipeline is not self.pipeline:
+            self._retired.append(pipeline.cache.stats)
+
+    def _check(self, index: int, handle, values: list[CooMatrix],
+               disk_hit, label: str):
+        """:func:`_check_handle`, untraced, against the oracles the first
+        time a matrix is compiled with a value set and against that
+        compile's checked outputs after."""
+        key = (id(values), index)
+        with self._untraced():
+            self._checked[key] = _check_handle(
+                self.inputs, index, handle, values[index], disk_hit,
+                self._tally, label, self._checked.get(key),
             )
-        if (sum(refresh_times) >= MIN_REFRESH_S
-                and values is inputs.refreshed):
-            break
-    return CompileResult(
-        cold_times=cold_times,
-        refresh_times=refresh_times,
-        nnz=inputs.nnz,
-        utilization=_utilization(cold, workload.length),
-        colors=sum(h.stats.preprocess.total_colors for h in cold),
-        handles=warm,
-        pipeline=pipeline,
-        retired_cache_stats=retired,
-        backends=sorted({h.backend_name for h in cold + warm}),
-        expected_matvec=expected[0],
-        expected_matmat=expected[1],
-        store_dir=store_dir,
-    )
+        return self._checked[key]
 
+    def _cold_step(self) -> list | None:
+        """Cold-compile the next matrix of the pass in progress, starting
+        a pass (a fresh pipeline, over a fresh store if the workload has
+        one) when none is; returns the pass's handles once it is whole.
 
-def _check_pass(inputs, handles, matrices, disk_hit, tally: Tally,
-                label: str):
-    """The store tier served what it should (``disk_hit`` of ``None``
-    means either way) and every handle is right; returns the checked
-    matvec and matmat results."""
-    tally.attempt(len(handles))
-    expected_matvec, expected_matmat = [], []
-    for name, handle, matrix, x, block in zip(
-        inputs.names, handles, matrices, inputs.vectors, inputs.blocks
-    ):
-        served = handle.stats.preprocess.notes.get("disk_hit")
-        if disk_hit is not None and served != disk_hit:
-            tally.fail(f"{name} {label}: disk_hit {served}, "
-                       f"expected {disk_hit}")
-        y, big = _check_handle(handle, matrix, x, block, tally,
-                               f"{name} {label}")
-        expected_matvec.append(y)
-        expected_matmat.append(big)
-    return expected_matvec, expected_matmat
+        Starting a pass lets the previous one's pipeline go, so beside
+        serving's there is one pipeline alive at a time, and peak memory
+        does not depend on how the paced passes interleave."""
+        if self._pending is None:
+            self._retire(self._pipeline)
+            self._pipeline = None
+            store_dir = None
+            if self.workload.use_store:
+                store_dir = Path(
+                    tempfile.mkdtemp(prefix="store-", dir=self._workdir)
+                )
+            self._pending = (self._new_pipeline(store_dir), store_dir, [])
+        pipeline, store_dir, handles = self._pending
+        index = len(handles)
+        matrix = self.inputs.matrices[index]
+        started = clock()
+        handle = pipeline.compile(matrix)
+        self.cold_times[index].append(clock() - started)
+        self._check(index, handle, self.inputs.matrices, 0.0, "cold")
+        self._backends.add(handle.backend_name)
+        handles.append(handle)
+        if len(handles) < len(self.inputs.matrices):
+            return None
+        self._pending = None
+        self._pipeline, self.store_dir = pipeline, store_dir
+        self._values = self.inputs.matrices
+        return handles
+
+    def _refresh_pass(self):
+        """The corpus with new values, through ``compile`` again; returns
+        the handles, their checked outputs and the pipeline.
+
+        With a store, a fresh pipeline over the latest cold pass's store:
+        a new process's view, an empty memory tier over the written store
+        (the warm start).  In memory, the latest cold pass's pipeline
+        (finishing the pass in progress first, and running one if the
+        latest is serving's), switching
+        between the two value sets so every pass is a real refresh; the
+        first switches to ``refreshed``, which the later stages replay and
+        serve.
+        """
+        if self.workload.use_store:
+            pipeline = self._new_pipeline(self.store_dir)
+            values = self.inputs.refreshed
+        else:
+            while self._pending or self._pipeline is self.pipeline:
+                self._cold_step()
+            pipeline = self._pipeline
+            values = (self.inputs.refreshed
+                      if self._values is self.inputs.matrices
+                      else self.inputs.matrices)
+            self._values = values
+        warm = []
+        for index, matrix in enumerate(values):
+            started = clock()
+            warm.append(pipeline.compile(matrix))
+            self.refresh_times[index].append(clock() - started)
+        self._refresh_walls.append(sum(t[-1] for t in self.refresh_times))
+        disk_hit = 1.0 if self.workload.use_store else None
+        checked = [self._check(index, handle, values, disk_hit, "refreshed")
+                   for index, handle in enumerate(warm)]
+        expected = [y for y, _ in checked], [big for _, big in checked]
+        self._backends.update(h.backend_name for h in warm)
+        if self.workload.use_store and self.pipeline is not None:
+            self._retire(pipeline)
+        return warm, expected, pipeline
 
 
 # -- stage 2: replay -----------------------------------------------------------
 
 
-#: Fresh copies of the operands each replay series runs on.  A kernel's
-#: speed depends on where its operands landed in memory (matmat by up to
-#: 2x between two placements), so the reported sweep time is the mean,
-#: over placements, of each placement's median sweep.
-PLACEMENTS = 8
+#: Rounds of the replay stage.  Each round times matvec, then matmat, on
+#: fresh copies of the operands, and the rounds are paced over the run.
+#: The kernels are memory-bound, and on a shared machine other tenants'
+#: memory traffic slows them by up to 2x in episodes of seconds that
+#: cover most of some runs; so the reported sweep time is the fastest
+#: sweep of the run, the one least disturbed from outside.  A slower
+#: kernel is slower in every sweep, the fastest one included.
+ROUNDS = 48
 
 
 @dataclass
 class ReplayResult:
-    #: Seconds per sweep over the whole corpus, and sweeps timed.
+    #: Seconds of the fastest sweep over the whole corpus, and sweeps
+    #: timed.
     matvec_s: float
     matvec_sweeps: int
     matmat_s: float
     matmat_sweeps: int
 
 
-def _sweeps(run, operands, expected, seconds, tally: Tally, label: str,
-            untraced) -> tuple[float, int]:
-    """Time sweeps on ``PLACEMENTS`` copies of ``operands`` for
-    ``seconds`` in all; check every output untimed."""
-    medians, count = [], 0
-    for _ in range(PLACEMENTS):
-        copies = [np.array(operand, copy=True) for operand in operands]
-        times: list[float] = []
-        deadline = clock() + seconds / PLACEMENTS
-        while len(times) < 3 or clock() < deadline:
-            started = clock()
-            outputs = run(copies)
-            times.append(clock() - started)
-            tally.attempt(len(outputs))
-            with untraced():
-                for index, (got, want) in enumerate(zip(outputs, expected)):
-                    if not np.array_equal(got, want):
-                        tally.fail(f"{label} sweep {count + len(times)}: "
-                                   f"output {index} differs from its "
-                                   f"checked result")
-        medians.append(median(times))
-        count += len(times)
-    return sum(medians) / len(medians), count
+def _placement(run, operands, expected, seconds, tally: Tally, label: str,
+               untraced) -> list[float]:
+    """Time sweeps on a fresh copy of ``operands`` for ``seconds`` (at
+    least three); check every output untimed."""
+    copies = [np.array(operand, copy=True) for operand in operands]
+    times: list[float] = []
+    deadline = clock() + seconds
+    while len(times) < 3 or clock() < deadline:
+        started = clock()
+        outputs = run(copies)
+        times.append(clock() - started)
+        tally.attempt(len(outputs))
+        with untraced():
+            for index, (got, want) in enumerate(zip(outputs, expected)):
+                if not np.array_equal(got, want):
+                    tally.fail(f"{label} sweep {len(times)}: output "
+                               f"{index} differs from its checked result")
+    return times
 
 
-def replay_stage(
-    inputs: Inputs,
-    compiled: CompileResult,
-    seconds: float,
-    tally: Tally,
-    untraced=nullcontext,
-) -> ReplayResult:
-    handles = compiled.handles
-    matvec = _sweeps(
-        lambda xs: [h.matvec(x) for h, x in zip(handles, xs)],
-        inputs.vectors, compiled.expected_matvec, seconds / 2, tally,
-        "matvec", untraced,
-    )
-    matmat = _sweeps(
-        lambda blocks: [h.matmat(b) for h, b in zip(handles, blocks)],
-        inputs.blocks, compiled.expected_matmat, seconds / 2, tally,
-        "matmat", untraced,
-    )
-    return ReplayResult(*matvec, *matmat)
+class ReplayStage:
+    """``ROUNDS`` rounds of matvec and matmat sweeps over the refreshed
+    handles, ``seconds`` in all."""
+
+    def __init__(self, inputs: Inputs, compiled: CompileStage,
+                 seconds: float, tally: Tally, untraced=nullcontext):
+        handles = compiled.handles
+        self._series = {
+            "matvec": (
+                lambda xs: [h.matvec(x) for h, x in zip(handles, xs)],
+                inputs.vectors, compiled.expected_matvec,
+            ),
+            "matmat": (
+                lambda bs: [h.matmat(b) for h, b in zip(handles, bs)],
+                inputs.blocks, compiled.expected_matmat,
+            ),
+        }
+        self._seconds = seconds / (2 * ROUNDS)
+        self._tally, self._untraced = tally, untraced
+        self._rounds = 0
+        self._times: dict[str, list[float]] = {k: [] for k in self._series}
+
+    def advance(self, share: float) -> None:
+        """Run rounds until ``share`` of them are done."""
+        while self._rounds < math.ceil(share * ROUNDS):
+            self._round()
+
+    def _round(self) -> None:
+        with _trace.span("bench.replay_round", cat="bench"):
+            for label, (run, operands, expected) in self._series.items():
+                self._times[label] += _placement(
+                    run, operands, expected, self._seconds, self._tally,
+                    f"{label} round {self._rounds}", self._untraced,
+                )
+        self._rounds += 1
+
+    def result(self) -> ReplayResult:
+        matvec, matmat = self._times["matvec"], self._times["matmat"]
+        return ReplayResult(min(matvec), len(matvec),
+                            min(matmat), len(matmat))
 
 
 # -- stage 3: serve ------------------------------------------------------------
@@ -607,11 +736,17 @@ def _capacity(ladder: list[WindowResult]) -> tuple[float, bool]:
 def serve_stage(
     workload: Workload,
     inputs: Inputs,
-    compiled: CompileResult,
+    compiled: CompileStage,
     tally: Tally,
     untraced=nullcontext,
+    between=lambda share: None,
 ) -> ServeResult:
-    """Serve the corpus open-loop; check every response afterwards."""
+    """Serve the corpus open-loop; check every response afterwards.
+
+    ``between(share)`` runs after the warm-up and after each base-rate,
+    high-rate and interleaved ladder window, while the server is idle and
+    outside every serving measurement, with the share of those windows
+    sent so far; the ladder steps after them run on their own."""
     registry = MatrixRegistry(
         cache=compiled.pipeline.cache, length=workload.length
     )
@@ -626,35 +761,48 @@ def serve_stage(
     for tenant in reversed(range(len(inputs.names))):
         tenants.register(tenant, inputs.refreshed[tenant], replace=False)
     record: list = []
-    serving_s = 0.0
+    base, high, ladder = [], [], []
+    steps = iter(inputs.ladder)
+    cpu_s = serving_s = 0.0
+    # The warm-up, the base- and high-rate slices and one ladder step
+    # after each pair.
+    windows = 1 + 3 * len(inputs.base)
+    sent = 0
+
+    def serve(window: Window) -> tuple[WindowResult, float]:
+        """Send one window, then run ``between``; returns the window's
+        result and process CPU seconds."""
+        nonlocal serving_s, sent
+        cpu_started, started = time.process_time(), clock()
+        result = _run_window(window, tenants, tally, record)
+        serving_s += clock() - started
+        cpu = time.process_time() - cpu_started
+        sent += 1
+        between(min(1.0, sent / windows))
+        return result, cpu
+
+    def probe() -> bool:
+        window = next(steps, None)
+        if window is None:
+            return False
+        ladder.append(serve(window)[0])
+        return len(ladder) < 2 or any(
+            step.meets_limit for step in ladder[-2:]
+        )
+
     with server:
-        started = clock()
+        serve(inputs.warmup)
         # Base- and high-rate slices alternate with the ladder's first
         # steps, so each figure samples the whole stage, not one moment.
-        _run_window(inputs.warmup, tenants, tally, record)
-        base, high, ladder = [], [], []
-        steps = iter(inputs.ladder)
-
-        def probe() -> bool:
-            window = next(steps, None)
-            if window is None:
-                return False
-            ladder.append(_run_window(window, tenants, tally, record))
-            return len(ladder) < 2 or any(
-                step.meets_limit for step in ladder[-2:]
-            )
-
         probing = True
-        cpu_s = 0.0
         for base_slice, high_slice in zip(inputs.base, inputs.high):
-            cpu_started = time.process_time()
-            base.append(_run_window(base_slice, tenants, tally, record))
-            high.append(_run_window(high_slice, tenants, tally, record))
-            cpu_s += time.process_time() - cpu_started
+            for results, window in ((base, base_slice), (high, high_slice)):
+                result, cpu = serve(window)
+                results.append(result)
+                cpu_s += cpu
             probing = probing and probe()
         while probing:
             probing = probe()
-        serving_s = clock() - started
     stats = server.stats()
 
     with untraced():
@@ -682,8 +830,3 @@ def serve_stage(
             [w.late_ms for w in [base, high, *ladder]]
         ),
     )
-
-
-def remove_tree(path: Path | None) -> None:
-    if path is not None:
-        shutil.rmtree(path, ignore_errors=True)

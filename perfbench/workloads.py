@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.sparse.coo import CooMatrix
 from repro.sparse.datasets import figure7_suite, load_dataset, serpens_suite
-from repro.sparse.generators import banded, power_law, uniform_random
+from repro.sparse.generators import uniform_random
 
 #: Right-hand-side width of the ``matmat`` replay and its checks.
 MATMAT_K = 16
@@ -58,8 +58,6 @@ class Workload:
     #: Cold compiles write through a fresh on-disk store and the refresh
     #: stage reads it back from a fresh pipeline (the warm start).
     use_store: bool
-    #: Serving tenant shares, in corpus order; ``None`` means equal.
-    mix: tuple[float, ...] | None = None
 
 
 WORKLOADS: dict[str, Workload] = {
@@ -75,12 +73,6 @@ WORKLOADS: dict[str, Workload] = {
             length=64,
             use_store=False,
         ),
-        Workload(
-            name="serve_open_loop",
-            length=64,
-            use_store=False,
-            mix=(0.4, 0.3, 0.2, 0.1),
-        ),
     )
 }
 
@@ -90,8 +82,9 @@ def _fresh_values(rng: np.random.Generator, nnz: int) -> np.ndarray:
     return rng.uniform(0.1, 1.0, nnz)
 
 
-def _corpus(name: str, seed: int) -> list[tuple[str, CooMatrix]]:
-    """The workload's matrices, in compile order."""
+def generate_corpus(name: str, seed: int) -> list[tuple[str, CooMatrix]]:
+    """The workload's matrices, in compile order, from the program's own
+    generators (the part of set-up ``setup_s`` times)."""
     if name == "table3_compile":
         return [(s.name, load_dataset(s.name, scale=256))
                 for s in serpens_suite()]
@@ -103,18 +96,6 @@ def _corpus(name: str, seed: int) -> list[tuple[str, CooMatrix]]:
             ("uniform-65536", uniform_random(dim, dim, 4.6 / dim, seed=seed))
         )
         return corpus
-    if name == "serve_open_loop":
-        # The tenants are fixed matrices (the seed draws their values and
-        # the traffic): power-law coloring cost varies with the pattern.
-        dim = 8192
-        density = 8.0 / dim
-        return [
-            ("uniform-8192", uniform_random(dim, dim, density, seed=11)),
-            ("power-law-8192", power_law(dim, dim, density, seed=12)),
-            ("banded-8192", banded(dim, dim, bandwidth=4, fill=0.9,
-                                   seed=13)),
-            ("wiki-Vote", load_dataset("wiki-Vote")),
-        ]
     raise KeyError(name)
 
 
@@ -176,16 +157,21 @@ def _window(
     )
 
 
-def build_inputs(workload: Workload, seed: int, seconds: float) -> Inputs:
-    """Generate every input of one run from ``seed``.
+def build_inputs(
+    workload: Workload,
+    seed: int,
+    seconds: float,
+    corpus: list[tuple[str, CooMatrix]],
+) -> Inputs:
+    """Generate every other input of one run from ``seed`` around the
+    ``corpus`` that :func:`generate_corpus` made.
 
     ``seconds`` sizes the serving windows: the base-rate traffic is a
     fifth of the run in four slices, the high-rate traffic an eighth in
-    four slices, each ladder step a sixteenth, and the warm-up before
+    four slices, each ladder step a twenty-fourth, and the warm-up before
     them a fortieth.
     """
     rng = np.random.default_rng(seed)
-    corpus = _corpus(workload.name, seed)
     names = [name for name, _ in corpus]
     matrices = [m.with_data(_fresh_values(rng, m.nnz)) for _, m in corpus]
     refreshed = [m.with_data(_fresh_values(rng, m.nnz)) for m in matrices]
@@ -193,7 +179,8 @@ def build_inputs(workload: Workload, seed: int, seconds: float) -> Inputs:
     blocks = [rng.standard_normal((m.shape[1], MATMAT_K)) for m in matrices]
     pools = [rng.standard_normal((POOL_SIZE, m.shape[1])) for m in matrices]
     nnz = matrices[REREGISTERED].nnz
-    mix = workload.mix or (1.0 / len(matrices),) * len(matrices)
+    # Every tenant gets an equal share of the traffic.
+    mix = (1.0 / len(matrices),) * len(matrices)
     return Inputs(
         names=names,
         matrices=matrices,
@@ -207,7 +194,7 @@ def build_inputs(workload: Workload, seed: int, seconds: float) -> Inputs:
         high=[_window(f"high-{i}", HIGH_RPS, seconds / 32, mix, nnz, rng)
               for i in range(SLICES)],
         ladder=[
-            _window(f"ladder-{rate:g}", rate, seconds / 16, mix, nnz, rng)
+            _window(f"ladder-{rate:g}", rate, seconds / 24, mix, nnz, rng)
             for rate in LADDER
         ],
     )
