@@ -21,8 +21,11 @@ therefore avoids every per-window Python pass over the nonzeros:
 * **Coloring** — every built-in policy runs through a flat NumPy kernel
   that colors *all windows simultaneously* (windows are independent, so
   only the semantically sequential dimension of each algorithm remains a
-  Python loop): "matching"/"first_fit" via
-  :mod:`repro.graph.edge_coloring`'s batch kernels, "naive" via
+  Python loop): "matching" via
+  :func:`repro.graph.edge_coloring.matching_coloring_flat`, which sweeps
+  the anti-diagonals of Listing 1's (local row, round) grid in
+  ``rounds + l`` vectorized steps, "first_fit" via
+  :func:`repro.graph.edge_coloring.first_fit_coloring_flat`, "naive" via
   :func:`repro.core.naive.naive_coloring_flat`, and "euler" via
   :func:`repro.graph.edge_coloring.euler_coloring_flat`, whose per-color
   Hopcroft-Karp pass peels one perfect matching from every still-active

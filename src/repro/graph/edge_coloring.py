@@ -32,10 +32,13 @@ are independent, so the kernels batch the embarrassingly parallel
 dimension (windows) and keep only the semantically sequential dimension
 as a Python loop:
 
-* greedy matching iterates (round, local row) — within a round, Listing 1
-  scans left vertices in index order and claims accumulate, so rows are
-  sequential, but the same local row of every window is processed in one
-  vectorized step;
+* greedy matching sweeps anti-diagonals — Listing 1's cell (local row
+  ``i``, round ``c``) depends only on the claims of rows ``i' < i`` in
+  round ``c`` and on row ``i``'s edges left after round ``c - 1``, so
+  every cell with ``i + c = d`` is independent of the others (the
+  level-scheduling idea of RACE applied to the greedy's own dependence
+  graph).  One vectorized step resolves diagonal ``d`` for every row of
+  every window: ``rounds + l`` steps instead of ``rounds x l``;
 * first-fit iterates the within-window edge rank — edge ``k`` of every
   window takes its smallest free color in one vectorized step against
   boolean (vertex, color) occupancy tables;
@@ -59,10 +62,12 @@ from repro.errors import ColoringError
 from repro.graph.bipartite import WindowGraph
 from repro.graph.matching import hopcroft_karp_flat
 
-#: Byte budget for first-fit's two boolean occupancy tables; beyond it the
-#: kernel colors window by window so a degree hub cannot inflate the
-#: (slots x palette) allocation (the tables fall back to O(l x palette_w)).
-_FIRST_FIT_TABLE_BUDGET = 1 << 27
+#: Byte budget for a kernel's per-window tables: first-fit's two boolean
+#: occupancy tables (beyond it first-fit colors window by window, so a
+#: degree hub cannot inflate the (slots x palette) allocation) and greedy
+#: matching's (round slot x segment) claim table (beyond it the sweep runs
+#: over chunks of windows).
+_TABLE_BUDGET = 1 << 27
 
 #: ``np.bitwise_count`` arrived in NumPy 2.0; the uint64 first-fit fast
 #: path silently falls back to the boolean tables without it.
@@ -85,88 +90,172 @@ def matching_coloring_flat(
             and, within a (window, row) pair, ordered by column — the
             canonical COO order delivers exactly this.
         length: accelerator length ``l``.
-        n_windows: total window count (claim-table width).
+        n_windows: total window count.  The claim table spans only the
+            windows that own edges, so empty windows cost nothing.
 
     Returns:
         int64 colors aligned with the edge arrays; every edge is colored.
 
-    Round ``clr`` scans local rows in index order; each row colors its
-    first remaining edge whose column segment is not yet claimed *in its
-    own window* this round, then stops (the ``break`` in Listing 1).
-    Claims only interact within a window, so one step resolves local row
-    ``i`` of every window simultaneously and exactly reproduces the
-    sequential per-window result.
+    Raises:
+        ColoringError: if some edges can never be colored, e.g. a local
+            row ``>= length``, which no diagonal of the sweep reaches.
+
+    Round ``c`` scans local rows in index order; each row colors its first
+    remaining edge whose column segment is not yet claimed *in its own
+    window* this round, then stops (the ``break`` in Listing 1).  Cell
+    (row ``i``, round ``c``) reads only the claims rows ``i' < i`` made in
+    round ``c`` and row ``i``'s edges left after round ``c - 1``, so all
+    cells on one anti-diagonal ``i + c = d`` depend on earlier diagonals
+    alone.  :func:`_matching_wavefront` sweeps the diagonals, resolving
+    every row of every window on a diagonal in one vectorized step —
+    ``rounds + l`` steps instead of ``rounds x l`` — and reproduces the
+    sequential per-window result exactly.
     """
     edge_count = int(local_rows.size)
     colors = np.full(edge_count, -1, dtype=np.int64)
     if edge_count == 0:
         return colors
 
-    # Group edges by local row; the stable sort keeps (window, column)
-    # order inside each group, i.e. each row's Listing-1 scan order.  The
-    # pending edge ids and their (window, seg) claim keys travel as aligned
-    # arrays compacted once per round, so the hot per-row step works on
-    # views instead of re-gathering.  int32 halves the gather bandwidth
-    # (edge counts and claim keys comfortably fit).
-    index_dtype = (
+    # Edges arrive grouped by window: a window starts wherever the id
+    # changes.  Only windows that own edges get claim-table space.
+    new_window = np.empty(edge_count, dtype=bool)
+    new_window[0] = True
+    np.not_equal(window_ids[1:], window_ids[:-1], out=new_window[1:])
+    window_starts = np.append(np.flatnonzero(new_window), edge_count)
+
+    # Round slots per claim-table segment: the power of two >= l, so a
+    # round's slot is a bitwise AND.  Color runs of whole windows whose
+    # claim tables (l segments x slots per window, entries of at most 4
+    # bytes) fit the byte budget; windows are independent, so chunking
+    # changes no color.
+    # A lone window past the budget still runs: its table is the kernel's
+    # memory floor.
+    slots = 1 << (length - 1).bit_length()
+    chunk = max(1, _TABLE_BUDGET // (4 * length * slots))
+    for first in range(0, window_starts.size - 1, chunk):
+        lo = int(window_starts[first])
+        hi = int(window_starts[min(first + chunk, window_starts.size - 1)])
+        _matching_wavefront(
+            colors[lo:hi],
+            local_rows[lo:hi],
+            colsegs[lo:hi],
+            new_window[lo:hi],
+            length,
+            slots,
+        )
+    return colors
+
+
+def _matching_wavefront(
+    colors: np.ndarray,
+    local_rows: np.ndarray,
+    colsegs: np.ndarray,
+    new_window: np.ndarray,
+    length: int,
+    slots: int,
+) -> None:
+    """Anti-diagonal sweep of Listing 1, writing into ``colors``.
+
+    ``new_window`` flags each window's first edge; the slice starts at one.
+    """
+    edge_count = int(local_rows.size)
+    n_windows = int(np.count_nonzero(new_window))
+    mask = slots - 1
+    # Claim table: [window, segment, round slot] plus one trailing "dead"
+    # segment that colored edges are redirected to.  Round slots are
+    # ``round & mask``: one diagonal has at most l <= slots rounds in
+    # flight, so a slot is unambiguous among them, and each entry stores
+    # the round that claimed it.  No entry ever holds a later round than
+    # its reader's, so an edge is open iff its entry is below its round:
+    # stale entries from older rounds need no clearing, and the dead
+    # segment, pinned at its dtype's maximum, is never open.
+    dead = n_windows * length * slots
+    # Narrow integers cut the gather bandwidth and the table.  ``dtype``
+    # holds table indices and edge ids; ``round_dtype`` holds diagonals:
+    # at most 2 * Delta - 1 rounds (Delta, the largest row or segment
+    # degree in a window, bounds Listing 1's rounds), plus l diagonals of
+    # ramp and l of the no-progress guard.
+    dtype = (
         np.int32
-        if max(edge_count, n_windows * length) <= np.iinfo(np.int32).max
+        if max(dead + slots, edge_count) <= np.iinfo(np.int32).max
         else np.int64
     )
-    # Narrow sort keys make NumPy's stable radix sort a single pass.
+    windows = np.cumsum(new_window, dtype=dtype)
+    windows -= 1
+    delta = max(
+        np.bincount(windows * length + local_rows).max(),
+        np.bincount(windows * length + colsegs).max(),
+    )
+    round_dtype = next(
+        t
+        for t in (np.int16, np.int32, np.int64)
+        if 2 * (delta + length) <= np.iinfo(t).max
+    )
+    claims = np.full(dead + slots, -1, dtype=round_dtype)
+    claims[dead:] = np.iinfo(round_dtype).max
+
+    # Edges sorted by local row; the stable sort keeps (window, column)
+    # order inside each row, i.e. each row's Listing-1 scan order.  The
+    # rows a diagonal ``d`` reaches (``<= d``) are then a prefix.  Narrow
+    # sort keys make NumPy's stable radix sort a single pass.
     sort_keys = (
         local_rows.astype(np.int16)
         if length <= np.iinfo(np.int16).max
         else local_rows
     )
-    pending = np.argsort(sort_keys, kind="stable").astype(index_dtype)
-    pending_rows = local_rows[pending].astype(index_dtype)
-    pending_segs = (window_ids[pending] * length + colsegs[pending]).astype(
-        index_dtype
-    )
-    claimed = np.zeros(n_windows * length, dtype=bool)
-    row_range = np.arange(length + 1)
+    pending = np.argsort(sort_keys, kind="stable").astype(dtype)
+    rows = local_rows.astype(round_dtype)[pending]
+    windows = windows[pending]
+    # Per pending edge: the key of the (row, window) scan it belongs to,
+    # and its claim-table segment base.
+    scan_keys = rows.astype(dtype) * n_windows
+    scan_keys += windows
+    seg_bases = windows
+    seg_bases *= length
+    seg_bases += colsegs.astype(dtype)[pending]
+    seg_bases *= slots
+    row_range = np.arange(length + 1, dtype=round_dtype)
 
-    clr = 0
-    while pending.size:
-        block_starts = np.searchsorted(pending_rows, row_range)
-        round_claims: list[np.ndarray] = []
-        for i in range(length):
-            lo, hi = block_starts[i], block_starts[i + 1]
-            if lo == hi:
-                continue
-            seg_view = pending_segs[lo:hi]
-            open_mask = claimed[seg_view]
-            np.logical_not(open_mask, out=open_mask)
-            cand_segs = seg_view[open_mask]
-            if cand_segs.size == 0:
-                continue
-            # First unclaimed edge per window: candidates are window-grouped
-            # and the claim key's high digits are the window id, so key-
-            # group boundaries mark each window's winning edge.
-            cand_wins = cand_segs // length
-            first = np.empty(cand_segs.size, dtype=bool)
+    remaining = edge_count
+    d = 0
+    last_progress = -1
+    while remaining:
+        if d % 8 == 0:
+            # Every 8 diagonals drop the colored edges (compacting a
+            # sorted array keeps it sorted) and re-find the row bounds.
+            keep = seg_bases != dead
+            pending = pending[keep]
+            rows = rows[keep]
+            seg_bases = seg_bases[keep]
+            scan_keys = scan_keys[keep]
+            row_ends = np.searchsorted(rows, row_range, side="right")
+        end = row_ends[min(d, length - 1)]
+        rounds = d - rows[:end]
+        keys = seg_bases[:end] + (rounds & mask)
+        # np.take skips fancy indexing's conversion of int32 keys to intp.
+        cand = np.flatnonzero(np.take(claims, keys) < rounds)
+        if cand.size:
+            # First open edge of each (row, window) scan: candidates are
+            # in scan order, so scan-key boundaries mark the winners.
+            cand_scans = np.take(scan_keys, cand)
+            first = np.empty(cand.size, dtype=bool)
             first[0] = True
-            np.not_equal(cand_wins[1:], cand_wins[:-1], out=first[1:])
-            colors[pending[lo:hi][open_mask][first]] = clr
-            won_segs = cand_segs[first]
-            claimed[won_segs] = True
-            round_claims.append(won_segs)
-        # Retract only this round's claims: one edge colored = one claim,
-        # so the total reset work is O(nnz) over the whole run instead of
-        # O(rounds x n_windows x length) full-table clears.
-        for won_segs in round_claims:
-            claimed[won_segs] = False
-        still_pending = colors[pending] < 0
-        if still_pending.all():
+            np.not_equal(cand_scans[1:], cand_scans[:-1], out=first[1:])
+            won = cand[first]
+            won_rounds = rounds[won]
+            colors[pending[won]] = won_rounds
+            claims[keys[won]] = won_rounds
+            seg_bases[won] = dead
+            remaining -= won.size
+            last_progress = d
+        elif d - last_progress >= length:
+            # A round with uncolored edges colors at least one (its lowest
+            # pending row always wins) within l diagonals, so l idle
+            # diagonals mean the rest can never be colored.
             raise ColoringError(
                 "greedy matching made no progress; inconsistent edge arrays"
             )
-        pending = pending[still_pending]
-        pending_rows = pending_rows[still_pending]
-        pending_segs = pending_segs[still_pending]
-        clr += 1
-    return colors
+        d += 1
 
 
 def _first_fit_bigint(
@@ -291,7 +380,7 @@ def first_fit_coloring_flat(
     if (
         _HAS_BITWISE_COUNT
         and palette <= 64
-        and 16 * slots <= _FIRST_FIT_TABLE_BUDGET
+        and 16 * slots <= _TABLE_BUDGET
     ):
         # Bitmask fast path: with at most 64 colors in play, each vertex's
         # occupancy row collapses from ``palette`` booleans to one uint64,
@@ -301,7 +390,7 @@ def first_fit_coloring_flat(
             local_rows, colsegs, window_ids, length, window_starts, slots
         )
 
-    if 2 * slots * palette > _FIRST_FIT_TABLE_BUDGET:
+    if 2 * slots * palette > _TABLE_BUDGET:
         # The palette is sized by the *global* degree maximum, so one hub
         # row or column would inflate the occupancy tables of every window.
         # Windows are independent: color them one at a time with window-
@@ -541,9 +630,11 @@ def euler_coloring_flat(
     # right's owner is a distance-0 free root), so it degenerates to "each
     # left vertex, in ascending order, takes its first free right in
     # adjacency order".  Windows are independent, so that scan can run one
-    # local row of *every* window per vectorized step — the same
-    # first-open-edge-per-group trick as :func:`matching_coloring_flat` —
-    # and be handed to :func:`hopcroft_karp_flat` as the seed matching.
+    # local row of *every* window per vectorized step — a single greedy
+    # round, so a row-by-row loop rather than the diagonal sweep
+    # :func:`matching_coloring_flat` needs for many rounds, but the same
+    # group-boundary pick of each group's first open edge — and be handed
+    # to :func:`hopcroft_karp_flat` as the seed matching.
     # The seeded run is then identical to the unseeded one from its second
     # phase onward, with the first BFS+scan eliminated.
     rows_local = lefts % length

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 
 from repro import CooMatrix, GustScheduler, LoadBalancer, uniform_random
 from repro.core.load_balance import identity_balance
+from repro.core.serialize import save_schedule
 from repro.errors import ColoringError
 from repro.graph._reference import (
     REFERENCE_ALGORITHMS,
@@ -25,8 +26,11 @@ from repro.graph.edge_coloring import (
     euler_coloring,
     first_fit_coloring,
     greedy_matching_coloring,
+    matching_coloring_flat,
 )
 from repro.graph.properties import validate_coloring
+from repro.sparse.datasets import load_dataset
+from repro.sparse.generators import banded, block_diagonal, power_law
 from tests.strategies import coo_matrices, window_graphs
 
 VECTORIZED = {
@@ -122,11 +126,155 @@ class TestFirstFitMemoryFallback:
         balanced = identity_balance(matrix, 16)
         scheduler = GustScheduler(16, algorithm="first_fit")
         batched = scheduler.schedule_balanced(balanced)
-        monkeypatch.setattr(edge_coloring, "_FIRST_FIT_TABLE_BUDGET", 1)
+        monkeypatch.setattr(edge_coloring, "_TABLE_BUDGET", 1)
         fallback = scheduler.schedule_balanced(balanced)
         assert fallback.window_colors == batched.window_colors
         np.testing.assert_array_equal(fallback.row_sch, batched.row_sch)
         np.testing.assert_array_equal(fallback.m_sch, batched.m_sch)
+
+
+def _hub_rows(m: int, n: int, seed: int) -> CooMatrix:
+    """Sparse background plus three fully dense rows and one dense column:
+    the hubs drive the round count far past the background's degree."""
+    base = uniform_random(m, n, 0.02, seed=seed)
+    hubs = np.random.default_rng(seed).choice(m, size=3, replace=False)
+    rows = np.concatenate([base.rows, np.repeat(hubs, n), np.arange(m)])
+    cols = np.concatenate(
+        [base.cols, np.tile(np.arange(n), hubs.size), np.full(m, n // 2)]
+    )
+    return CooMatrix.from_arrays(rows, cols, np.ones(rows.size), (m, n))
+
+
+#: Skewed structure beside the uniform suites above: power-law degrees,
+#: a band, dense diagonal blocks, hub rows, and a social-graph surrogate.
+SKEWED = {
+    "power_law": lambda: power_law(300, 300, 0.03, seed=1),
+    "banded": lambda: banded(300, 300, bandwidth=12, fill=0.7, seed=2),
+    "block_diagonal": lambda: block_diagonal(300, 300, block=40, seed=3),
+    "hub_rows": lambda: _hub_rows(300, 300, seed=4),
+    "googleplus": lambda: load_dataset("googleplus", scale=1024),
+}
+
+
+def _assert_matches_seed_windows(balanced, length, colors, starts):
+    per_window = reference_window_colorings(balanced, length, "matching")
+    assert len(per_window) == starts.size - 1
+    for w, seed_colors in enumerate(per_window):
+        np.testing.assert_array_equal(
+            colors[starts[w] : starts[w + 1]], seed_colors
+        )
+
+
+class TestSkewedMatchingEquivalence:
+    """The wavefront matching kernel against the seed on skewed matrices,
+    at lengths that are 1, odd, not a power of two (87, as fig8 uses) and
+    the paper's 256."""
+
+    @pytest.mark.parametrize("length", [1, 3, 87, 256])
+    @pytest.mark.parametrize("family", sorted(SKEWED))
+    def test_edge_for_edge_identical_to_seed(self, family, length):
+        balanced = LoadBalancer(length).balance(SKEWED[family]())
+        scheduler = GustScheduler(length, algorithm="matching")
+        partition = scheduler._partition(balanced)
+        colors = scheduler._color_flat(balanced, partition)
+        _assert_matches_seed_windows(
+            balanced, length, colors, partition.window_starts
+        )
+
+    def test_single_window(self):
+        matrix = _hub_rows(80, 200, seed=5)
+        balanced = LoadBalancer(87).balance(matrix)
+        scheduler = GustScheduler(87, algorithm="matching")
+        partition = scheduler._partition(balanced)
+        assert partition.windows == 1
+        colors = scheduler._color_flat(balanced, partition)
+        _assert_matches_seed_windows(
+            balanced, 87, colors, partition.window_starts
+        )
+
+    def test_empty_windows(self):
+        """Windows 1, 2 and 4 of six hold no edges at all."""
+        full = power_law(96, 96, 0.1, seed=6)
+        keep = np.isin(full.rows // 16, [0, 3, 5])
+        matrix = CooMatrix.from_arrays(
+            full.rows[keep], full.cols[keep], full.data[keep], full.shape
+        )
+        balanced = identity_balance(matrix, 16)
+        scheduler = GustScheduler(16, algorithm="matching")
+        partition = scheduler._partition(balanced)
+        assert np.count_nonzero(np.diff(partition.window_starts)) == 3
+        colors = scheduler._color_flat(balanced, partition)
+        _assert_matches_seed_windows(
+            balanced, 16, colors, partition.window_starts
+        )
+
+    def test_hub_row_past_int16_rounds(self):
+        """A lone 33000-edge row colors one edge per round, in order: more
+        rounds than int16 diagonals hold."""
+        hub = 33_000
+        graph = WindowGraph(
+            length=1,
+            local_rows=np.zeros(hub, dtype=np.int64),
+            colsegs=np.zeros(hub, dtype=np.int64),
+            cols=np.zeros(hub, dtype=np.int64),
+            values=np.ones(hub),
+        )
+        np.testing.assert_array_equal(
+            greedy_matching_coloring(graph), np.arange(hub)
+        )
+
+    def test_jobs_two_byte_identical_to_jobs_one(self, tmp_path):
+        balanced = LoadBalancer(87).balance(SKEWED["power_law"]())
+        paths = []
+        for jobs in (1, 2):
+            schedule = GustScheduler(
+                87, algorithm="matching", jobs=jobs
+            ).schedule_balanced(balanced)
+            paths.append(tmp_path / f"jobs{jobs}.sched")
+            save_schedule(paths[-1], schedule, balanced)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestMatchingChunkedTables:
+    def test_window_chunks_are_identical(self, monkeypatch):
+        """Under a tiny table budget the matching sweep colors one window
+        at a time; colors and schedules must equal the batched sweep."""
+        from repro.graph import edge_coloring
+
+        balanced = LoadBalancer(16).balance(_hub_rows(120, 90, seed=7))
+        scheduler = GustScheduler(16, algorithm="matching")
+        partition = scheduler._partition(balanced)
+        batched_colors = scheduler._color_flat(balanced, partition)
+        batched = scheduler.schedule_balanced(balanced)
+        monkeypatch.setattr(edge_coloring, "_TABLE_BUDGET", 1)
+        chunked_colors = scheduler._color_flat(balanced, partition)
+        chunked = scheduler.schedule_balanced(balanced)
+        np.testing.assert_array_equal(chunked_colors, batched_colors)
+        assert chunked.window_colors == batched.window_colors
+        np.testing.assert_array_equal(chunked.row_sch, batched.row_sch)
+        np.testing.assert_array_equal(chunked.m_sch, batched.m_sch)
+
+
+class TestMatchingTermination:
+    @pytest.mark.parametrize(
+        "local_rows, window_ids, length",
+        [
+            ([0, 1, 4], [0, 0, 0], 4),  # beside rows that do get colored
+            ([5, 5, 5], [0, 1, 1], 3),  # nothing colorable at all
+        ],
+    )
+    def test_rows_past_length_raise_instead_of_spinning(
+        self, local_rows, window_ids, length
+    ):
+        """A local row >= length is never reached by any diagonal."""
+        with pytest.raises(ColoringError, match="no progress"):
+            matching_coloring_flat(
+                np.array(local_rows, dtype=np.int64),
+                np.array([0, 1, 2], dtype=np.int64),
+                np.array(window_ids, dtype=np.int64),
+                length,
+                2,
+            )
 
 
 class TestUncoloredConvention:
