@@ -9,6 +9,8 @@ the crossbar's collision detector.
 Run:  python examples/scheduling_anatomy.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro import CooMatrix, GustMachine, GustPipeline
@@ -89,17 +91,10 @@ def main() -> None:
 
     # Now corrupt the schedule: route two elements of one timestep to the
     # same adder and watch the crossbar object.
-    bad_row_sch = schedule.row_sch.copy()
-    occupied_lanes = np.nonzero(bad_row_sch[0] != EMPTY)[0]
-    bad_row_sch[0, occupied_lanes[1]] = bad_row_sch[0, occupied_lanes[0]]
-    corrupted = type(schedule)(
-        length=schedule.length,
-        shape=schedule.shape,
-        m_sch=schedule.m_sch,
-        row_sch=bad_row_sch,
-        col_sch=schedule.col_sch,
-        window_colors=schedule.window_colors,
-    )
+    first, second = np.flatnonzero(schedule.steps == 0)[:2]
+    bad_rows = schedule.rows.copy()
+    bad_rows[second] = bad_rows[first]
+    corrupted = replace(schedule, rows=bad_rows)
     try:
         machine.run(corrupted, x)
     except CollisionError as error:

@@ -16,10 +16,10 @@ schedule per dense column.  This module makes that amortization automatic:
 * A lookup with identical pattern **and** values returns the stored
   schedule outright (a *hit*).
 * A lookup with identical pattern but new values performs a *refresh*: the
-  stored coloring, row permutation, and slot->entry join are reused, so
-  only the value scatter runs — O(nnz) fancy indexing, orders of magnitude
-  cheaper than rescheduling (``benchmarks/bench_scheduling_throughput.py``
-  demands >= 50x).
+  stored coloring, row permutation, and each slot's source index are
+  reused, so only the value gather runs — O(nnz) fancy indexing, orders of
+  magnitude cheaper than rescheduling
+  (``benchmarks/bench_scheduling_throughput.py`` demands >= 50x).
 * Anything else is a *miss*; the caller schedules cold and inserts.
 
 Persistent tier
@@ -57,7 +57,7 @@ import hashlib
 import threading
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,7 +66,6 @@ from repro.analysis.runtime import validation_enabled
 from repro.core.load_balance import BalancedMatrix
 from repro.core.plan import ExecutionPlan
 from repro.core.schedule import Schedule
-from repro.core.scheduler import slot_value_sources
 from repro.core.store import DiskScheduleStore, store_key_from_digest
 from repro.errors import HardwareConfigError
 from repro.sparse.coo import CooMatrix
@@ -107,14 +106,14 @@ class CacheLookup:
     schedule: Schedule
     balanced: BalancedMatrix
     stalls: int
-    #: True when the stored coloring was reused but the value scatter ran.
+    #: True when the stored coloring was reused but the values were
+    #: gathered anew.
     refreshed: bool
     #: True when the entry was faulted in from the persistent store.
     from_disk: bool
     #: The prepared executor for this schedule (refreshed in lockstep with
-    #: the value stream); ``None`` only for legacy entries without slot
-    #: metadata.
-    plan: ExecutionPlan | None = None
+    #: the value stream).
+    plan: ExecutionPlan
 
 
 @dataclass
@@ -126,19 +125,11 @@ class _Entry:
     #: snapshot of the original-order value stream the stored schedule was
     #: built from (a copy, so in-place edits of the caller's array differ).
     last_data: np.ndarray
-    #: original-order data -> balanced-order data permutation.  May be
-    #: ``None`` for entries faulted in from a disk artifact (which persists
-    #: only the inverse); materialized lazily on the first value refresh.
-    data_order: np.ndarray | None
-    #: occupied slot coordinates and their balanced-data source indices.
-    slot_steps: np.ndarray
-    slot_lanes: np.ndarray
-    slot_source: np.ndarray
     #: naive-policy stall count captured at scheduling time.
     stalls: int
     #: prepared executor compiled from the stored schedule; its values are
-    #: refreshed in lockstep with ``schedule.m_sch`` on value refreshes.
-    plan: ExecutionPlan | None = None
+    #: refreshed in lockstep with the schedule's on value refreshes.
+    plan: ExecutionPlan
     #: balanced-order -> original-order permutation from a disk artifact.
     inv_order: np.ndarray | None = None
 
@@ -281,7 +272,7 @@ class ScheduleCache:
 
         Lookup order is memory -> disk -> caller computes.  A pattern hit
         with changed values refreshes the stored schedule in place: only
-        the value scatter runs; the coloring, permutation, and slot join
+        the value gather runs; the coloring, permutation, and slot sources
         are reused.  Entries faulted in from the disk tier go through the
         identical hit/refresh logic, so a warm store serves value-updated
         matrices without recoloring.
@@ -344,41 +335,32 @@ class ScheduleCache:
             )
 
         # Same pattern, new values: rebuild the permuted value stream and
-        # scatter it into a fresh M_sch; index arrays are shared.
+        # gather it into the slots; index arrays are shared.
         self._refreshes += 1
-        if entry.data_order is None:
-            entry.data_order = self._materialize_data_order(entry, matrix)
-        permuted_data = matrix.data[entry.data_order]
         old = entry.balanced
-        refreshed_matrix = CooMatrix(
-            rows=old.matrix.rows,
-            cols=old.matrix.cols,
-            data=permuted_data,
-            shape=old.matrix.shape,
+        data_order = old.data_order
+        if data_order is None:
+            # Entries faulted in from a disk artifact persist only the
+            # inverse; the forward order is built on the first refresh.
+            data_order = self._materialize_data_order(entry, matrix)
+        permuted_data = matrix.data[data_order]
+        balanced = replace(
+            old,
+            matrix=CooMatrix(
+                rows=old.matrix.rows,
+                cols=old.matrix.cols,
+                data=permuted_data,
+                shape=old.matrix.shape,
+            ),
+            data_order=data_order,
         )
-        balanced = BalancedMatrix(
-            matrix=refreshed_matrix,
-            row_perm=old.row_perm,
-            window_col_maps=old.window_col_maps,
-        )
-        m_sch = np.zeros_like(entry.schedule.m_sch)
-        m_sch[entry.slot_steps, entry.slot_lanes] = permuted_data[
-            entry.slot_source
-        ]
-        schedule = Schedule(
-            length=entry.schedule.length,
-            shape=entry.schedule.shape,
-            m_sch=m_sch,
-            row_sch=entry.schedule.row_sch,
-            col_sch=entry.schedule.col_sch,
-            window_colors=entry.schedule.window_colors,
-        )
+        # One O(nnz) gather: the plan's sorted structure is value-
+        # independent, and the schedule's slots are in the plan's order,
+        # so both carry the same refreshed value array.
+        entry.plan = entry.plan.with_values(permuted_data)
+        schedule = entry.schedule.with_values(entry.plan.values)
         entry.schedule = schedule
         entry.balanced = balanced
-        if entry.plan is not None:
-            # One O(nnz) gather: the plan's sorted structure is value-
-            # independent, so a refresh rides the same coloring reuse.
-            entry.plan = entry.plan.with_values(permuted_data)
         # Snapshot, not alias: an in-place edit of the caller's data array
         # must read as "values changed" on the next lookup.
         entry.last_data = matrix.data.copy()
@@ -396,36 +378,30 @@ class ScheduleCache:
     ) -> _Entry:
         """Reconstitute the in-memory entry for a disk artifact.
 
-        The artifact persists the *balanced-order* matrix plus the slot
-        join, and — when written through a cache like this one — the
-        original->balanced permutation.  The requesting ``matrix`` supplies
-        the original-order pattern (identical by key construction), so the
-        only work here is scattering the artifact's values back into
-        original order for the hit/refresh comparison; the sorts and
-        searchsorted joins were paid once at write time.
+        The artifact persists the *balanced-order* matrix plus each slot's
+        source index, and — when written through a cache like this one —
+        the balanced->original permutation.  The requesting ``matrix``
+        supplies the original-order pattern (identical by key
+        construction), so the only work here is moving the artifact's
+        values back into original order for the hit/refresh comparison.
         """
         balanced = stored.balanced
-        data_order = stored.data_order
         if stored.inv_order is not None:
             # Gather via the persisted inverse permutation (cheaper than
             # the scatter the forward form would need); the forward
             # permutation stays lazy until a value refresh needs it.
             artifact_data = balanced.matrix.data[stored.inv_order]
         else:
-            if data_order is None:
-                data_order = np.lexsort(
-                    (matrix.cols, balanced.row_perm[matrix.rows])
+            if balanced.data_order is None:
+                balanced = replace(
+                    balanced, data_order=matrix.row_order(balanced.row_perm)
                 )
             artifact_data = np.empty_like(balanced.matrix.data)
-            artifact_data[data_order] = balanced.matrix.data
+            artifact_data[balanced.data_order] = balanced.matrix.data
         return _Entry(
             schedule=stored.schedule,
             balanced=balanced,
             last_data=artifact_data,
-            data_order=data_order,
-            slot_steps=stored.slot_steps,
-            slot_lanes=stored.slot_lanes,
-            slot_source=stored.slot_source,
             stalls=stored.stalls,
             plan=stored.plan,
             inv_order=stored.inv_order,
@@ -439,7 +415,7 @@ class ScheduleCache:
             order = np.empty(inv.size, dtype=np.int64)
             order[inv] = np.arange(inv.size, dtype=np.int64)
             return order
-        return np.lexsort((matrix.cols, entry.balanced.row_perm[matrix.rows]))
+        return matrix.row_order(entry.balanced.row_perm)
 
     def _put(self, key: bytes, entry: _Entry) -> None:  # guarded-by: _lock
         """Install an entry at most-recent position, evicting over capacity."""
@@ -462,21 +438,17 @@ class ScheduleCache:
         """Store a cold-scheduled result for future hits/refreshes.
 
         ``matrix`` is the *original* (pre-permutation) operand the caller
-        scheduled; the entry records how its value stream maps into the
-        balanced order so refreshes can skip re-canonicalization.  The
-        prepared :class:`~repro.core.plan.ExecutionPlan` is compiled here
-        (and returned, so the scheduling pipeline can start replaying
+        scheduled; the entry keeps the balancer's ``data_order`` (how its
+        value stream maps into the balanced order) so refreshes can skip
+        re-canonicalization.  The prepared
+        :class:`~repro.core.plan.ExecutionPlan` is compiled here (and
+        returned, so the scheduling pipeline can start replaying
         immediately).  With a persistent tier attached, the result is also
-        written through to disk — including the plan's sort order, so a
-        warm start is replay-ready without re-sorting (skipped when the
-        content-addressed artifact already exists; the coloring and plan
-        structure it stores are value-independent).
+        written through to disk (skipped when the content-addressed
+        artifact already exists; the coloring and plan structure it stores
+        are value-independent).
         """
-        data_order = np.lexsort((matrix.cols, balanced.row_perm[matrix.rows]))
-        steps, lanes, source = slot_value_sources(schedule, balanced.matrix)
-        plan = ExecutionPlan.from_schedule(
-            schedule, row_perm=balanced.row_perm, slots=(steps, lanes, source)
-        )
+        plan = ExecutionPlan.from_schedule(schedule, row_perm=balanced.row_perm)
         if validation_enabled():
             plan.validate()
         with self._lock:
@@ -487,10 +459,6 @@ class ScheduleCache:
                     schedule=schedule,
                     balanced=balanced,
                     last_data=matrix.data.copy(),
-                    data_order=data_order,
-                    slot_steps=steps,
-                    slot_lanes=lanes,
-                    slot_source=source,
                     stalls=stalls,
                     plan=plan,
                 ),
@@ -503,8 +471,6 @@ class ScheduleCache:
                         schedule,
                         balanced,
                         stalls=stalls,
-                        slots=(steps, lanes, source),
-                        data_order=data_order,
-                        plan_order=plan.slot_order,
+                        data_order=balanced.data_order,
                     )
         return plan

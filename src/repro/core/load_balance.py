@@ -20,18 +20,20 @@ inverts on the output vector.  Reproducing the paper's Figure 6 example:
 the 4x4 matrix costs 7 cycles unbalanced and 5 balanced
 (``tests/core/test_load_balance.py``).
 
-All three steps are fully vectorized: steps 2-3 run as one global
-lexsort/run-length pass over every window at once, and
-:meth:`BalancedMatrix.colseg_of_all` resolves column-to-lane assignments
-for the whole matrix with a single ``searchsorted`` against a flattened
-(window, column) -> lane table, which the vectorized scheduling engine
-consumes directly.
+All three steps are vectorized over the whole matrix.  Step 1 sorts the
+``m`` row counts, then moves each row's block of entries with one O(nnz)
+gather (:meth:`~repro.sparse.coo.CooMatrix.row_order`) — the input is
+canonical, so no entry-level sort — and keeps that gather as the
+original-to-balanced value order the schedule cache refreshes through.
+Steps 2-3 run as one sort/run-length pass over every (window, column)
+pair, which yields both the flat per-window column maps the artifact
+persists and every entry's multiplier lane, the array the scheduler
+colors against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -47,63 +49,39 @@ class BalancedMatrix:
         matrix: the row-permuted matrix to schedule.
         row_perm: ``row_perm[i]`` is the new position of original row ``i``
             (so ``y_original[i] = y_permuted[row_perm[i]]``).
-        window_col_maps: per window, a pair of arrays ``(columns, lanes)``:
-            ``columns`` is sorted ascending and ``lanes[k]`` is the
-            multiplier assigned to ``columns[k]`` in that window.  Columns
-            absent from the map default to ``col mod l``.
+        lanes: the multiplier lane of every entry of ``matrix`` (aligned
+            with its canonical order) — each entry's column segment.
+        map_cols / map_lanes: the per-window column maps, flattened: window
+            ``w`` owns ``map_cols[map_offsets[w]:map_offsets[w + 1]]``
+            (ascending columns) and the lanes dealt to them.  Columns
+            absent from a window's map default to ``col mod l``.
+        map_offsets: ``windows + 1`` offsets delimiting each window's map.
+        data_order: the original-order -> balanced-order value gather
+            (``matrix.data == original.data[data_order]``), or ``None``
+            when the original matrix is not known (a balanced matrix read
+            back from an artifact).
     """
 
     matrix: CooMatrix
     row_perm: np.ndarray
-    window_col_maps: list[tuple[np.ndarray, np.ndarray]]
-
-    @cached_property
-    def _flat_col_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """All window column maps in one sorted (window*n + col, lane) table."""
-        sizes = [cols.size for cols, _ in self.window_col_maps]
-        total = int(sum(sizes))
-        n = max(1, self.matrix.shape[1])
-        keys = np.empty(total, dtype=np.int64)
-        lanes = np.empty(total, dtype=np.int64)
-        offset = 0
-        for w, (cols, ln) in enumerate(self.window_col_maps):
-            span = cols.size
-            keys[offset : offset + span] = w * n + cols
-            lanes[offset : offset + span] = ln
-            offset += span
-        return keys, lanes
+    lanes: np.ndarray
+    map_cols: np.ndarray
+    map_lanes: np.ndarray
+    map_offsets: np.ndarray
+    data_order: np.ndarray | None = None
 
     def colseg_of(self, window: int, cols: np.ndarray, length: int) -> np.ndarray:
         """Multiplier lane for each original column index in ``window``."""
         cols = np.asarray(cols, dtype=np.int64)
-        mapped_cols, lanes = self.window_col_maps[window]
+        lo, hi = int(self.map_offsets[window]), int(self.map_offsets[window + 1])
+        mapped_cols = self.map_cols[lo:hi]
+        lanes = self.map_lanes[lo:hi]
         base = cols % length
         if mapped_cols.size == 0 or cols.size == 0:
             return base
         positions = np.searchsorted(mapped_cols, cols)
         positions = np.minimum(positions, mapped_cols.size - 1)
         hit = mapped_cols[positions] == cols
-        return np.where(hit, lanes[positions], base)
-
-    def colseg_of_all(
-        self, window_ids: np.ndarray, cols: np.ndarray, length: int
-    ) -> np.ndarray:
-        """Multiplier lane for every edge of the matrix in one pass.
-
-        Vectorized across windows: equivalent to calling :meth:`colseg_of`
-        window by window, but with a single binary search against the
-        flattened column map.  ``window_ids`` is the per-edge owning window.
-        """
-        cols = np.asarray(cols, dtype=np.int64)
-        base = cols % length
-        keys, lanes = self._flat_col_map
-        if keys.size == 0 or cols.size == 0:
-            return base
-        n = max(1, self.matrix.shape[1])
-        wanted = np.asarray(window_ids, dtype=np.int64) * n + cols
-        positions = np.searchsorted(keys, wanted)
-        positions = np.minimum(positions, keys.size - 1)
-        hit = keys[positions] == wanted
         return np.where(hit, lanes[positions], base)
 
     def unpermute_output(self, y_permuted: np.ndarray) -> np.ndarray:
@@ -126,12 +104,11 @@ class BalancedMatrix:
             return [0] * windows
         window_ids = matrix.rows // length
         local_rows = matrix.rows % length
-        colsegs = self.colseg_of_all(window_ids, matrix.cols, length)
         row_deg = np.bincount(
             window_ids * length + local_rows, minlength=windows * length
         ).reshape(windows, length)
         seg_deg = np.bincount(
-            window_ids * length + colsegs, minlength=windows * length
+            window_ids * length + self.lanes, minlength=windows * length
         ).reshape(windows, length)
         bounds = np.maximum(row_deg.max(axis=1), seg_deg.max(axis=1))
         return [int(b) for b in bounds]
@@ -150,86 +127,96 @@ class LoadBalancer:
         m, n = matrix.shape
 
         # Step 1: stable-sort rows by nonzero count (descending), so heavy
-        # rows share windows with other heavy rows.
+        # rows share windows with other heavy rows, then move each row's
+        # block of entries to its new position.
         counts = matrix.row_counts()
         order = np.argsort(-counts, kind="stable")
         row_perm = np.empty(m, dtype=np.int64)
         row_perm[order] = np.arange(m, dtype=np.int64)
-        permuted = matrix.permute_rows(row_perm) if m else matrix
+        data_order = matrix.row_order(row_perm)
+        permuted = CooMatrix(
+            rows=np.repeat(np.arange(m, dtype=np.int64), counts[order]),
+            cols=matrix.cols[data_order],
+            data=matrix.data[data_order],
+            shape=matrix.shape,
+        )
 
-        # Steps 2-3, every window at once: run-length encode the (window,
-        # column) pairs, stable-sort each window's columns by descending
-        # count, and deal them into lanes in snake order.
+        # Steps 2-3, every window at once.
         windows = window_count(m, length)
-        maps = self._window_maps(permuted, windows, n)
-
+        lanes, map_cols, map_lanes, map_offsets = self._window_maps(
+            permuted, windows, n
+        )
         return BalancedMatrix(
-            matrix=permuted, row_perm=row_perm, window_col_maps=maps
+            matrix=permuted,
+            row_perm=row_perm,
+            lanes=lanes,
+            map_cols=map_cols,
+            map_lanes=map_lanes,
+            map_offsets=map_offsets,
+            data_order=data_order,
         )
 
     def _window_maps(
         self, permuted: CooMatrix, windows: int, n: int
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-entry lanes and the flat (cols, lanes, offsets) window maps."""
         length = self.length
-        empty = np.zeros(0, dtype=np.int64)
-        if windows == 0:
-            return []
-        if permuted.nnz == 0:
-            return [(empty, empty) for _ in range(windows)]
+        nnz = permuted.nnz
+        if nnz == 0:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, empty, np.zeros(windows + 1, dtype=np.int64)
 
-        # Unique (window, column) pairs with counts.  The canonical COO
-        # order is already sorted by (row, col); sorting its flat
-        # window*n + col key groups duplicates of a column within a window.
+        # Unique (window, column) pairs with counts: group the entries by
+        # their window*n + col key.
         pair_key = (permuted.rows // length) * np.int64(n) + permuted.cols
-        sorted_key = np.sort(pair_key, kind="stable")
-        firsts = np.empty(sorted_key.size, dtype=bool)
+        by_pair = np.argsort(pair_key, kind="stable")
+        sorted_key = pair_key[by_pair]
+        firsts = np.empty(nnz, dtype=bool)
         firsts[0] = True
         np.not_equal(sorted_key[1:], sorted_key[:-1], out=firsts[1:])
         unique_key = sorted_key[firsts]
-        boundaries = np.flatnonzero(firsts)
-        col_counts = np.diff(np.append(boundaries, sorted_key.size))
-        win_of_unique = unique_key // n
-        col_of_unique = unique_key % n
+        col_counts = np.diff(np.append(np.flatnonzero(firsts), nnz))
+        win_of_unique, col_of_unique = np.divmod(unique_key, n)
 
-        # Per window: order by descending count, ties by ascending column
-        # (the unique keys are already column-ascending inside a window,
-        # matching the seed's stable argsort).
-        by_load = np.lexsort((col_of_unique, -col_counts, win_of_unique))
-        win_sorted = win_of_unique[by_load]
-        window_starts = np.searchsorted(win_sorted, np.arange(windows + 1))
-        rank = np.arange(by_load.size, dtype=np.int64) - window_starts[win_sorted]
-        lanes_dealt = _snake_deal_ranks(rank, length)
+        # Per window: order by descending count, ties by ascending column.
+        # The unique keys are column-ascending inside a window and a column
+        # occurs at most ``length`` times in one, so a stable sort on
+        # (window, length - count) is that order.
+        load_key = win_of_unique * (length + 1) + (length - col_counts)
+        by_load = np.argsort(load_key, kind="stable")
+        window_starts = np.searchsorted(
+            win_of_unique, np.arange(windows + 1, dtype=np.int64)
+        )
+        rank = (
+            np.arange(by_load.size, dtype=np.int64)
+            - window_starts[win_of_unique[by_load]]
+        )
+        map_lanes = np.empty(by_load.size, dtype=np.int64)
+        map_lanes[by_load] = _snake_deal_ranks(rank, length)
 
-        # Back to ascending-column order per window for binary-search maps.
-        # win_sorted is a permutation of win_of_unique with identical
-        # per-window multiplicities, so window_starts delimits both orders.
-        lanes = np.empty(by_load.size, dtype=np.int64)
-        lanes[by_load] = lanes_dealt
-        return [
-            (
-                col_of_unique[window_starts[w] : window_starts[w + 1]],
-                lanes[window_starts[w] : window_starts[w + 1]],
-            )
-            for w in range(windows)
-        ]
+        lanes = np.empty(nnz, dtype=np.int64)
+        lanes[by_pair] = map_lanes[np.cumsum(firsts) - 1]
+        return lanes, col_of_unique, map_lanes, window_starts
 
 
 def _snake_deal_ranks(ranks: np.ndarray, length: int) -> np.ndarray:
     """Lane for each dealing rank, snake-wise into ``length`` lanes: round 0
     left-to-right, round 1 right-to-left, and so on."""
-    rounds = ranks // length
-    offsets = ranks % length
-    return np.where(rounds % 2 == 0, offsets, length - 1 - offsets)
+    rounds, offsets = np.divmod(ranks, length)
+    return np.where(rounds & 1, length - 1 - offsets, offsets)
 
 
 def identity_balance(matrix: CooMatrix, length: int) -> BalancedMatrix:
     """A no-op :class:`BalancedMatrix` (used when load balancing is off)."""
     require_positive_length(length)
     m, _ = matrix.shape
-    empty_map = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    maps = [empty_map for _ in range(window_count(m, length))]
+    empty = np.zeros(0, dtype=np.int64)
     return BalancedMatrix(
         matrix=matrix,
         row_perm=np.arange(m, dtype=np.int64),
-        window_col_maps=maps,
+        lanes=matrix.cols % length,
+        map_cols=empty,
+        map_lanes=empty,
+        map_offsets=np.zeros(window_count(m, length) + 1, dtype=np.int64),
+        data_order=np.arange(matrix.nnz, dtype=np.int64),
     )

@@ -9,7 +9,7 @@ vectorized replay (used by the experiment harness) or the cycle-accurate
 Pass ``cache=`` to layer a :class:`~repro.core.cache.ScheduleCache` under
 :meth:`GustPipeline.preprocess`: repeated preprocessing of the same
 sparsity pattern returns the stored schedule (identical values) or runs
-only the value scatter (same pattern, new values — the Jacobian/Hessian
+only the value gather (same pattern, new values — the Jacobian/Hessian
 case), so iterative solvers and SpMM replays pay the coloring once.
 
 Pass ``store=`` to add the persistent tier: a
@@ -42,7 +42,7 @@ from repro.core.store import DiskScheduleStore
 from repro.core.load_balance import BalancedMatrix, LoadBalancer, identity_balance
 from repro.core.machine import GustMachine, MachineResult
 from repro.core.plan import DEFAULT_TILE_BUDGET, ExecutionPlan
-from repro.core.schedule import PIPELINE_FILL_CYCLES, Schedule
+from repro.core.schedule import EMPTY, PIPELINE_FILL_CYCLES, Schedule
 from repro.core.scheduler import GustScheduler
 from repro.errors import BackendError, HardwareConfigError
 from repro.sparse.coo import CooMatrix
@@ -50,10 +50,10 @@ from repro.types import CycleReport, PreprocessReport
 
 #: Pipeline-level pseudo-backend: the *uncompiled* pre-plan replay (a dense
 #: ``np.nonzero`` over the schedule arrays plus ``np.add.at``, every call).
-#: Not in the backend registry — it needs schedule context a compiled
-#: :class:`ExecutionPlan` no longer carries — and kept only as the
-#: reference baseline ``benchmarks/bench_replay_throughput.py`` gates the
-#: compiled backends against.
+#: Not in the backend registry — it replays a schedule's dense arrays, not
+#: a compiled :class:`ExecutionPlan` — and kept only as the reference
+#: baseline ``benchmarks/bench_replay_throughput.py`` gates the compiled
+#: backends against.
 LEGACY_SCATTER = "legacy-scatter"
 
 _LEGACY_CAPABILITIES = BackendCapabilities(
@@ -61,14 +61,32 @@ _LEGACY_CAPABILITIES = BackendCapabilities(
 )
 
 
+def _scan_dense(
+    schedule: Schedule,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, cols, global rows) of every occupied slot, found the
+    pre-plan way: an ``np.nonzero`` scan of the dense arrays, in (step,
+    lane) order, which keeps each row's slots in step order."""
+    steps, lanes = np.nonzero(schedule.row_sch != EMPTY)
+    global_rows = (
+        schedule.window_of_timestep()[steps] * schedule.length
+        + schedule.row_sch[steps, lanes]
+    )
+    return (
+        schedule.m_sch[steps, lanes],
+        schedule.col_sch[steps, lanes],
+        global_rows,
+    )
+
+
 class _LegacyScatterKernel:
     """Adapter giving the pre-plan replay the ``CompiledKernel`` surface.
 
     Binds the schedule/balanced pair the way the old ``executor()``
-    closure did; every call re-derives the occupied slots (that per-call
-    ``np.nonzero`` is the point — it is the cost the compiled backends
-    are measured against).  Values cannot be refreshed in place: there is
-    no compiled structure to reuse.
+    closure did; every call re-derives the occupied slots from the dense
+    arrays (that per-call ``np.nonzero`` is the point — it is the cost the
+    compiled backends are measured against).  Values cannot be refreshed
+    in place: there is no compiled structure to reuse.
     """
 
     def __init__(
@@ -96,15 +114,8 @@ class _LegacyScatterKernel:
             raise HardwareConfigError(
                 f"dense operand must be ({n}, k), got {dense.shape}"
             )
-        steps, lanes, global_rows = schedule.occupied_slots()
-        block = scatter_matmat(
-            schedule.m_sch[steps, lanes],
-            schedule.col_sch[steps, lanes],
-            global_rows,
-            m,
-            dense,
-            tile_budget,
-        )
+        values, cols, global_rows = _scan_dense(schedule)
+        block = scatter_matmat(values, cols, global_rows, m, dense, tile_budget)
         return balanced.unpermute_output(block)
 
     def refresh_values(self, plan: ExecutionPlan) -> None:
@@ -257,8 +268,7 @@ class GustPipeline:
             )
         if cached is not None:
             self.scheduler.last_stalls = cached.stalls
-            if cached.plan is not None:
-                self._memoize_plan(cached.schedule, cached.plan)
+            self._memoize_plan(cached.schedule, cached.plan)
             elapsed = _obs_clock.monotonic() - started
             report = PreprocessReport(
                 seconds=elapsed,
@@ -289,8 +299,7 @@ class GustPipeline:
                     balanced,
                     stalls=self.scheduler.last_stalls,
                 )
-            if plan is not None:
-                self._memoize_plan(schedule, plan)
+            self._memoize_plan(schedule, plan)
         elapsed = _obs_clock.monotonic() - started
         if self.cache is not None:
             # The compute tier of the memory -> disk -> compute lookup
@@ -359,7 +368,7 @@ class GustPipeline:
 
         Plans are memoized per schedule object (and pre-seeded by the
         schedule cache, whose entries carry their plan), so iterative
-        callers — solvers, SpMM column streams — pay the structural sort
+        callers — solvers, SpMM column streams — pay plan compilation
         exactly once and every subsequent call is a dictionary lookup.
         A memoized plan is only served for the ``balanced`` it was
         compiled against: pairing the schedule with a different row
@@ -537,8 +546,8 @@ class GustPipeline:
             raise HardwareConfigError(
                 f"vector length {x.shape} incompatible with shape {schedule.shape}"
             )
-        steps, lanes, global_rows = schedule.occupied_slots()
-        products = schedule.m_sch[steps, lanes] * x[schedule.col_sch[steps, lanes]]
+        values, cols, global_rows = _scan_dense(schedule)
+        products = values * x[cols]
         y_permuted = np.zeros(m, dtype=np.float64)
         # The one sanctioned registry bypass: this *is* the pre-plan
         # baseline the registry backends are benchmarked against.

@@ -3,10 +3,8 @@
 GUST's economics (Section 3.3, Table 4) make scheduling a one-time cost and
 replay the steady-state hot path — an iterative solver or an SpMM column
 stream executes the *same* schedule thousands of times.  Before this module
-every replay re-derived the occupied-slot coordinates with a dense
-``np.nonzero`` over the (C_total, l) schedule arrays and accumulated with
-``np.add.at``, the slowest scatter in NumPy.  An :class:`ExecutionPlan` pays
-that structural work once:
+every replay accumulated with ``np.add.at``, the slowest scatter in NumPy.
+An :class:`ExecutionPlan` pays the structural work once:
 
 * the occupied slots are flattened into three aligned arrays — values,
   source columns, destination rows — **pre-sorted by destination row** with
@@ -22,12 +20,15 @@ that structural work once:
   (slots x tile) product block with ``np.add.reduceat`` over the same
   segment boundaries — no per-tile scatter.
 
+The schedule's slots are already in destination-row order (see
+:class:`~repro.core.schedule.Schedule`), so compiling a plan is the O(nnz)
+segment-boundary scan alone: no sort, and the plan shares the schedule's
+slot arrays.
+
 Plans are immutable.  A value refresh (same pattern, new data — the
 Jacobian/Hessian case) produces a new plan via :meth:`ExecutionPlan.
 with_values`, a single O(nnz) gather that reuses the sorted structure; the
-schedule cache performs exactly that on a value-refresh lookup, and the
-serialized artifact container persists ``slot_order`` so a disk warm start
-rebuilds the plan without re-sorting (see :mod:`repro.core.serialize`).
+schedule cache performs exactly that on a value-refresh lookup.
 
 Compiled and memoized by :class:`repro.core.pipeline.GustPipeline` (see
 :meth:`~repro.core.pipeline.GustPipeline.plan_for`), used by
@@ -67,11 +68,6 @@ class ExecutionPlan:
         seg_starts: (segments,) intp — CSR-style offsets: segment ``s``
             spans ``values[seg_starts[s]:seg_starts[s+1]]``.
         seg_rows: (segments,) intp — destination row of each segment.
-        slot_order: (nnz,) intp or None — the stable permutation taking
-            the source slot arrays to the row-sorted plan order; ``None``
-            means identity (the slots were already row-sorted, as in a
-            version-3 artifact).  The serializer uses it to persist slots
-            pre-sorted so a warm start skips the sort.
         row_perm: (m,) intp — ``row_perm[i]`` is the permuted position of
             original row ``i`` (the load balancer's output permutation).
         value_source: (nnz,) intp or None — index into the *balanced-order*
@@ -86,7 +82,6 @@ class ExecutionPlan:
     rows: np.ndarray
     seg_starts: np.ndarray
     seg_rows: np.ndarray
-    slot_order: np.ndarray | None
     row_perm: np.ndarray
     value_source: np.ndarray | None = None
     #: Per-thread scratch for the replay's product buffer: replay is the
@@ -102,45 +97,6 @@ class ExecutionPlan:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_components(
-        cls,
-        length: int,
-        shape: tuple[int, int],
-        global_rows: np.ndarray,
-        cols: np.ndarray,
-        values: np.ndarray,
-        row_perm: np.ndarray,
-        value_source: np.ndarray | None = None,
-        order: np.ndarray | None = None,
-    ) -> "ExecutionPlan":
-        """Compile a plan from flat occupied-slot arrays.
-
-        ``global_rows`` / ``cols`` / ``values`` are aligned per-slot arrays
-        in the schedule's canonical (step, lane) order; ``order`` is an
-        optional precomputed stable row sort (as persisted in artifacts) —
-        derived here when omitted.  ``value_source`` indexes the
-        balanced-order data stream per slot (pre-sort order) and unlocks
-        :meth:`with_values`.
-        """
-        if order is None:
-            order = np.argsort(global_rows, kind="stable")
-        order = np.ascontiguousarray(order, dtype=np.intp)
-        return cls.from_sorted(
-            length=length,
-            shape=shape,
-            values=np.asarray(values, dtype=np.float64)[order],
-            sources=np.asarray(cols)[order],
-            rows=np.asarray(global_rows)[order],
-            slot_order=order,
-            row_perm=row_perm,
-            value_source=(
-                np.asarray(value_source)[order]
-                if value_source is not None
-                else None
-            ),
-        )
-
-    @classmethod
     def from_sorted(
         cls,
         length: int,
@@ -148,18 +104,14 @@ class ExecutionPlan:
         values: np.ndarray,
         sources: np.ndarray,
         rows: np.ndarray,
-        slot_order: np.ndarray | None,
         row_perm: np.ndarray,
         value_source: np.ndarray | None = None,
     ) -> "ExecutionPlan":
         """Assemble a plan from arrays *already in destination-row order*.
 
-        The fast warm-start constructor: the artifact loader gathers each
-        per-slot array straight into plan order (one gather per array,
-        no re-sort), so all that remains is the O(nnz) segment-boundary
-        scan.  ``slot_order=None`` records an identity order (the source
-        arrays were already sorted).  Callers are responsible for the
-        sort invariant; :meth:`validate` still checks it.
+        All that remains is the O(nnz) segment-boundary scan.  Callers are
+        responsible for the sort invariant; :meth:`validate` still checks
+        it.
         """
         rows = np.ascontiguousarray(rows, dtype=np.intp)
         nnz = int(rows.size)
@@ -180,11 +132,6 @@ class ExecutionPlan:
             rows=rows,
             seg_starts=seg_starts,
             seg_rows=seg_rows,
-            slot_order=(
-                np.ascontiguousarray(slot_order, dtype=np.intp)
-                if slot_order is not None
-                else None
-            ),
             row_perm=np.ascontiguousarray(row_perm, dtype=np.intp),
             value_source=(
                 np.ascontiguousarray(value_source, dtype=np.intp)
@@ -195,45 +142,28 @@ class ExecutionPlan:
 
     @classmethod
     def from_schedule(
-        cls,
-        schedule: Schedule,
-        row_perm: np.ndarray | None = None,
-        slots: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        cls, schedule: Schedule, row_perm: np.ndarray | None = None
     ) -> "ExecutionPlan":
-        """Compile a plan from a schedule (and optionally its slot join).
+        """Compile a plan from a schedule's slot arrays.
+
+        The slots are in destination-row order already, so the plan takes
+        them as they are; their source indices become :attr:`value_source`,
+        which makes every plan refreshable in O(nnz).
 
         Args:
             schedule: the schedule to prepare.
             row_perm: the balancer's row permutation; identity when omitted.
-            slots: precomputed ``(steps, lanes, source)`` occupied-slot join
-                (as from :func:`~repro.core.scheduler.slot_value_sources`).
-                When given, ``source`` is retained as :attr:`value_source`
-                so the plan supports O(nnz) value refreshes; the dense
-                ``np.nonzero`` pass is skipped either way after compile.
         """
-        if slots is not None:
-            steps, lanes, source = slots
-            steps = np.ascontiguousarray(steps, dtype=np.intp)
-            lanes = np.ascontiguousarray(lanes, dtype=np.intp)
-            window_of_step = schedule.window_of_timestep()
-            global_rows = (
-                window_of_step[steps] * schedule.length
-                + schedule.row_sch[steps, lanes]
-            )
-        else:
-            steps, lanes, global_rows = schedule.occupied_slots()
-            source = None
-        m = schedule.shape[0]
         if row_perm is None:
-            row_perm = np.arange(m, dtype=np.intp)
-        return cls.from_components(
+            row_perm = np.arange(schedule.shape[0], dtype=np.intp)
+        return cls.from_sorted(
             length=schedule.length,
             shape=schedule.shape,
-            global_rows=global_rows,
-            cols=schedule.col_sch[steps, lanes],
-            values=schedule.m_sch[steps, lanes],
+            values=schedule.values,
+            sources=schedule.cols,
+            rows=schedule.rows,
             row_perm=row_perm,
-            value_source=source,
+            value_source=schedule.source,
         )
 
     # -- sizes ---------------------------------------------------------------
@@ -366,8 +296,8 @@ class ExecutionPlan:
 
         ``balanced_data`` is the balanced-order value stream of a matrix
         with exactly this plan's sparsity pattern.  One O(nnz) gather; no
-        sort, no schedule traversal.  Requires :attr:`value_source` (plans
-        compiled through the cache/store tiers carry it).
+        sort, no schedule traversal.  Requires :attr:`value_source` (every
+        plan compiled from a schedule carries it).
         """
         if self.value_source is None:
             raise ScheduleError(
@@ -394,8 +324,6 @@ class ExecutionPlan:
         ):
             if arr.size != nnz:
                 raise ScheduleError(f"plan member {name!r} disagrees on nnz")
-        if self.slot_order is not None and self.slot_order.size != nnz:
-            raise ScheduleError("plan member 'slot_order' disagrees on nnz")
         if self.value_source is not None and self.value_source.size != nnz:
             raise ScheduleError("plan value_source disagrees on nnz")
         if self.row_perm.size != m:
@@ -409,10 +337,6 @@ class ExecutionPlan:
                 int(self.sources.min()) < 0 or int(self.sources.max()) >= n
             ):
                 raise ScheduleError("plan source column out of range")
-            if self.slot_order is not None:
-                counts = np.bincount(self.slot_order, minlength=nnz)
-                if counts.max() != 1:
-                    raise ScheduleError("plan slot_order is not a permutation")
             expected_starts = np.flatnonzero(
                 np.concatenate(([True], self.rows[1:] != self.rows[:-1]))
             )

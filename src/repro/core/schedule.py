@@ -6,14 +6,27 @@ element's row mod l (the crossbar destination); ``Col_sch`` holds its
 original column (the vector element to multiply with).  "These matrices can
 be viewed as a compressed storage format similar to the Coordinate format."
 
-We store them timestep-major — arrays of shape (C_total, l) — so timestep
-``t`` is the contiguous slice fed to the multipliers at cycle ``t``.  Empty
-slots carry ``row == -1`` / ``col == -1`` / value 0.
+We store exactly that coordinate form: one entry per scheduled nonzero,
+giving its slot (timestep ``steps[k]``, multiplier lane ``lanes[k]``), its
+destination row, its column, its value and the index of the matrix entry
+it came from.  Slots are kept in *destination-row order* — by row, then by
+timestep — which is the replay order of
+:class:`~repro.core.plan.ExecutionPlan` and the order artifacts persist,
+so neither has to sort.
+
+The dense timestep-major arrays of the paper — shape (C_total, l), so
+timestep ``t`` is the contiguous slice fed to the multipliers at cycle
+``t``, with empty slots carrying ``row == -1`` / ``col == -1`` / value 0 —
+are materialized on first access (:attr:`Schedule.m_sch` and friends) for
+the cycle-accurate machine, the uncompiled ``legacy-scatter`` replay
+baseline and inspection; no compile, cache or compiled replay path reads
+them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -31,30 +44,43 @@ PIPELINE_FILL_CYCLES = 2
 class Schedule:
     """A complete collision-free GUST schedule for one matrix.
 
+    Every per-slot array has one entry per scheduled nonzero, in
+    destination-row order (row, then timestep).  Index arrays are integer
+    arrays of any width: a schedule read back without validation keeps the
+    narrow dtypes its artifact stores them in.
+
     Attributes:
         length: accelerator length ``l``.
         shape: original matrix shape (m, n) *after* any load-balancing row
             permutation (the pipeline tracks the permutation itself).
-        m_sch: (C_total, l) float64 — value entering multiplier j at step t.
-        row_sch: (C_total, l) int64 — window-local destination adder, or -1.
-        col_sch: (C_total, l) int64 — original column index, or -1.
         window_colors: colors (timesteps) used by each row window; their sum
             is C_total.
+        steps: timestep of each slot, in ``[0, C_total)``.
+        lanes: multiplier lane of each slot, in ``[0, l)``.
+        rows: destination row of each slot (the ``Row_sch`` entry is
+            ``rows % l``).
+        cols: original column of each slot (the ``Col_sch`` entry).
+        values: float64 value of each slot (the ``M_sch`` entry).
+        source: index of each slot's entry in the scheduled matrix's
+            canonical value stream, so ``values == matrix.data[source]``.
     """
 
     length: int
     shape: tuple[int, int]
-    m_sch: np.ndarray
-    row_sch: np.ndarray
-    col_sch: np.ndarray
     window_colors: tuple[int, ...]
+    steps: np.ndarray
+    lanes: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    source: np.ndarray
 
     # -- sizes -------------------------------------------------------------
 
-    @property
+    @cached_property
     def total_colors(self) -> int:
         """C_total: timesteps of multiplier input (buffer length)."""
-        return int(self.m_sch.shape[0])
+        return int(sum(self.window_colors))
 
     @property
     def window_count(self) -> int:
@@ -63,7 +89,7 @@ class Schedule:
     @property
     def nnz(self) -> int:
         """Scheduled nonzeros (occupied slots)."""
-        return int((self.row_sch != EMPTY).sum())
+        return int(self.steps.size)
 
     @property
     def execution_cycles(self) -> int:
@@ -87,7 +113,7 @@ class Schedule:
     @property
     def occupancy(self) -> float:
         """Fraction of schedule slots occupied (densified-stream quality)."""
-        slots = self.m_sch.size
+        slots = self.total_colors * self.length
         return self.nnz / slots if slots else 0.0
 
     def window_offsets(self) -> np.ndarray:
@@ -103,66 +129,112 @@ class Schedule:
             np.asarray(self.window_colors, dtype=np.int64),
         )
 
-    def occupied_slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Coordinates of every scheduled nonzero: (steps, lanes, rows).
+    def with_values(self, values: np.ndarray) -> "Schedule":
+        """The same slots carrying new values (Listing 2 without Listing 1)."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != self.values.shape:
+            raise ScheduleError(
+                f"{values.size} values for a schedule of {self.nnz} slots"
+            )
+        return replace(self, values=values)
 
-        ``steps``/``lanes`` index into the schedule arrays; ``rows`` is the
-        global (window-offset) destination row of each occupied slot.  This
-        is the gather every replay/refresh path starts from.
-        """
-        occupied = self.row_sch != EMPTY
-        steps, lanes = np.nonzero(occupied)
-        window_of_step = self.window_of_timestep()
-        global_rows = (
-            window_of_step[steps] * self.length + self.row_sch[steps, lanes]
-        )
-        return steps, lanes, global_rows
+    # -- the paper's dense arrays -------------------------------------------
+
+    @cached_property
+    def _dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        shape = (self.total_colors, self.length)
+        m_sch = np.zeros(shape, dtype=np.float64)
+        row_sch = np.full(shape, EMPTY, dtype=np.int64)
+        col_sch = np.full(shape, EMPTY, dtype=np.int64)
+        try:
+            m_sch[self.steps, self.lanes] = self.values
+            row_sch[self.steps, self.lanes] = self.rows % self.length
+            col_sch[self.steps, self.lanes] = self.cols
+        except IndexError as err:
+            raise ScheduleError("schedule holds out-of-range slot indices") from err
+        return m_sch, row_sch, col_sch
+
+    @property
+    def m_sch(self) -> np.ndarray:
+        """(C_total, l) float64 — value entering multiplier j at step t."""
+        return self._dense[0]
+
+    @property
+    def row_sch(self) -> np.ndarray:
+        """(C_total, l) int64 — window-local destination adder, or -1."""
+        return self._dense[1]
+
+    @property
+    def col_sch(self) -> np.ndarray:
+        """(C_total, l) int64 — original column index, or -1."""
+        return self._dense[2]
 
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:
         """Check structural consistency and collision freedom.
 
+        Runs on the slot arrays alone (the dense arrays are never built):
+        O(nnz) passes plus one sort of the (step, lane) keys.
+
         Raises:
-            ScheduleError: on shape mismatch, out-of-range indices, slot
-                inconsistency, or two elements of one row sharing a timestep.
+            ScheduleError: on mismatched slot arrays, out-of-range indices,
+                two nonzeros in one slot, a row outside its timestep's
+                window, two elements of one row sharing a timestep, slots
+                out of destination-row order, or a source that is not a
+                permutation of the matrix entries.
         """
         m, n = self.shape
-        expected = (self.total_colors, self.length)
-        for name, arr in (
-            ("m_sch", self.m_sch),
-            ("row_sch", self.row_sch),
-            ("col_sch", self.col_sch),
-        ):
-            if arr.shape != expected:
-                raise ScheduleError(
-                    f"{name} has shape {arr.shape}, expected {expected}"
-                )
-        if sum(self.window_colors) != self.total_colors:
-            raise ScheduleError("window_colors do not sum to C_total")
+        length = self.length
         if any(c < 0 for c in self.window_colors):
             raise ScheduleError("negative window color count")
+        nnz = self.nnz
+        for name in ("steps", "lanes", "rows", "cols", "values", "source"):
+            arr = getattr(self, name)
+            if arr.shape != (nnz,):
+                raise ScheduleError(
+                    f"slot array {name} has shape {arr.shape}, expected ({nnz},)"
+                )
+        if nnz == 0:
+            return
+        total = self.total_colors
+        for name, bound in (
+            ("steps", total),
+            ("lanes", length),
+            ("rows", m),
+            ("cols", n),
+            ("source", nnz),
+        ):
+            arr = getattr(self, name)
+            if int(arr.min()) < 0 or int(arr.max()) >= bound:
+                raise ScheduleError(f"slot {name} out of range [0, {bound})")
+        steps = self.steps.astype(np.int64, copy=False)
+        rows = self.rows.astype(np.int64, copy=False)
 
-        occupied = self.row_sch != EMPTY
-        if ((self.col_sch != EMPTY) != occupied).any():
-            raise ScheduleError("row_sch and col_sch disagree on occupancy")
-        if (self.m_sch[~occupied] != 0.0).any():
-            raise ScheduleError("value present in an empty slot")
-        rows = self.row_sch[occupied]
-        cols = self.col_sch[occupied]
-        if rows.size and (rows.min() < 0 or rows.max() >= self.length):
-            raise ScheduleError("row_sch destination out of range")
-        if cols.size and (cols.min() < 0 or cols.max() >= n):
-            raise ScheduleError("col_sch index out of range")
+        # No value in an empty slot, no slot holding two: (step, lane) is
+        # unique.
+        slots = np.sort(steps * length + self.lanes, kind="stable")
+        if (slots[1:] == slots[:-1]).any():
+            raise ScheduleError(
+                "slot coordinates collide: two nonzeros share one (step, lane)"
+            )
 
-        # Collision freedom: within a timestep, destinations are unique.
-        steps = np.nonzero(occupied)[0]
-        keys = steps * self.length + self.row_sch[occupied]
-        if np.unique(keys).size != keys.size:
-            raise ScheduleError("collision: one adder addressed twice in a cycle")
+        # Window containment: each slot's row lies in its timestep's window.
+        if (rows // length != self.window_of_timestep()[steps]).any():
+            raise ScheduleError("scheduled row outside its timestep's window")
 
-        # Window containment: each timestep's global rows stay in its window.
-        window_of_step = self.window_of_timestep()
-        global_rows = window_of_step[steps] * self.length + rows
-        if global_rows.size and global_rows.max() >= m:
-            raise ScheduleError("scheduled row beyond matrix height")
+        # Within a window, (step, local row) is unique iff (row, step) is,
+        # so one pass over the row-ordered keys checks both collision
+        # freedom and the slot order; a failure is told apart by a sort.
+        keys = rows * total + steps
+        if (keys[1:] <= keys[:-1]).any():
+            if np.unique(keys).size != nnz:
+                raise ScheduleError(
+                    "collision: one adder addressed twice in a cycle"
+                )
+            raise ScheduleError("slots are not sorted by destination row")
+
+        if np.bincount(self.source, minlength=nnz).max() != 1:
+            raise ScheduleError(
+                "slot sources are not a permutation of the matrix entries"
+            )

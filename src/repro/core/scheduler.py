@@ -3,7 +3,7 @@
 Implements Section 3.3's "GUST Scheduling Algorithm": the matrix is split
 into ceil(m/l) windows of ``l`` rows; each window becomes a bipartite
 multigraph that an edge-coloring algorithm assigns buffer slots to; Listing 2
-then scatters values and indices into M_sch / Row_sch / Col_sch.
+then places every value and index in its slot of M_sch / Row_sch / Col_sch.
 
 Vectorized batch engine
 -----------------------
@@ -15,9 +15,8 @@ therefore avoids every per-window Python pass over the nonzeros:
 * **Partition** — the canonical COO order is already sorted by row, so one
   ``searchsorted`` against the window boundaries partitions the flat edge
   arrays into per-window slices (replacing the former O(windows x nnz)
-  boolean-mask loop), and
-  :meth:`~repro.core.load_balance.BalancedMatrix.colseg_of_all` resolves
-  every edge's multiplier lane in a single binary search.
+  boolean-mask loop); every edge's multiplier lane comes straight from the
+  balancer (:attr:`~repro.core.load_balance.BalancedMatrix.lanes`).
 * **Coloring** — every built-in policy runs through a flat NumPy kernel
   that colors *all windows simultaneously* (windows are independent, so
   only the semantically sequential dimension of each algorithm remains a
@@ -36,11 +35,15 @@ therefore avoids every per-window Python pass over the nonzeros:
   self-contained partitions of the same flat kernels, so the merged color
   array — and therefore every downstream artifact (schedule, serialized
   bytes, cache/store keys) — is identical to the single-process result.
-* **Scatter** — Listing 2's fill of M_sch/Row_sch/Col_sch is one fancy-
-  indexed assignment: timestep = window offset + edge color.
+* **Scatter** — Listing 2 emits each edge's slot directly: timestep =
+  window offset + edge color, lane = the balancer's lane, source = the
+  edge's index.  Edges arrive grouped by row, so one sort of each row's
+  edges by timestep puts the slots in the :class:`Schedule`'s
+  destination-row order; no dense (C_total, l) array is built.
 * **Value reuse** — :meth:`GustScheduler.reschedule_values` refreshes a
-  schedule for a same-pattern matrix via a ``searchsorted`` join on
-  (row, col) keys instead of a per-nonzero Python dict.
+  schedule for a same-pattern matrix by gathering the new values through
+  the slots' source indices, after checking that each source entry still
+  holds the slot's (row, col).
 
 The original pure-Python implementations are preserved verbatim in
 :mod:`repro.graph._reference`; the vectorized engine reproduces their
@@ -60,7 +63,7 @@ from repro import faults as _faults
 from repro import obs as _obs
 from repro.core.load_balance import BalancedMatrix, identity_balance
 from repro.core.naive import naive_coloring_flat, naive_stalls_flat
-from repro.core.schedule import EMPTY, Schedule
+from repro.core.schedule import Schedule
 from repro.errors import ColoringError
 from repro.graph.bipartite import WindowGraph
 from repro.graph.edge_coloring import ALGORITHMS as _COLORING_ALGORITHMS
@@ -203,11 +206,10 @@ class GustScheduler:
         return self.schedule_balanced(identity_balance(matrix, self.length))
 
     def color_counts(self, balanced: BalancedMatrix) -> list[int]:
-        """Per-window color counts without materializing M_sch et al.
+        """Per-window color counts without building a schedule.
 
         The cycle/utilization analysis only needs the color counts; skipping
-        the (C_total x l) arrays keeps memory flat even for the naive
-        policy, whose color count approaches the nonzero count.
+        the slot arrays keeps this the coloring alone.
         """
         partition = self._partition(balanced)
         colors = self._color_flat(balanced, partition)
@@ -225,30 +227,27 @@ class GustScheduler:
             colors = self._color_flat(balanced, partition)
             counts = self._counts(partition, colors)
 
-        # Listing 2 as one scatter: timestep = window offset + edge color.
+        # Listing 2, slot by slot: timestep = window offset + edge color.
         with _obs.phase("scatter"):
             total = int(counts.sum())
-            m_sch = np.zeros((total, length), dtype=np.float64)
-            row_sch = np.full((total, length), EMPTY, dtype=np.int64)
-            col_sch = np.full((total, length), EMPTY, dtype=np.int64)
-            if matrix.nnz:
-                offsets = np.concatenate(
-                    ([0], np.cumsum(counts[:-1], dtype=np.int64))
-                )
-                steps = offsets[partition.window_ids] + colors
-                lanes = partition.colsegs
-                m_sch[steps, lanes] = matrix.data
-                row_sch[steps, lanes] = partition.local_rows
-                col_sch[steps, lanes] = matrix.cols
-
-        schedule = Schedule(
-            length=length,
-            shape=(m, n),
-            m_sch=m_sch,
-            row_sch=row_sch,
-            col_sch=col_sch,
-            window_colors=tuple(int(c) for c in counts),
-        )
+            offsets = np.zeros(partition.windows, dtype=np.int64)
+            np.cumsum(counts[:-1], out=offsets[1:])
+            steps = offsets[partition.window_ids] + colors
+            rows = np.asarray(matrix.rows, dtype=np.intp)
+            # Edges are grouped by row; ordering each row's edges by
+            # timestep gives the destination-row slot order.
+            source = np.argsort(rows * total + steps, kind="stable")
+            schedule = Schedule(
+                length=length,
+                shape=(m, n),
+                window_colors=tuple(counts.tolist()),
+                steps=steps[source],
+                lanes=partition.colsegs[source],
+                rows=rows,
+                cols=np.asarray(matrix.cols, dtype=np.intp)[source],
+                values=matrix.data[source],
+                source=source,
+            )
         if self.validate:
             schedule.validate()
         return schedule
@@ -263,28 +262,26 @@ class GustScheduler:
         have exactly the sparsity pattern the schedule was built from — a
         matrix with missing *or extra* nonzeros is rejected.
 
-        The (row, col) -> value join runs as a binary search of the
-        schedule's occupied slots against the matrix's canonical key order;
-        no per-nonzero Python loop.
+        Each slot reads its new value through its source index, once the
+        entry there is checked to still hold the slot's (row, col); no
+        per-nonzero Python loop and no search.
         """
         matrix = balanced.matrix
-        length = self.length
         if matrix.nnz != schedule.nnz:
             raise ColoringError(
                 f"pattern changed: matrix has {matrix.nnz} nonzeros but the "
                 f"schedule holds {schedule.nnz}; full rescheduling required"
             )
-        steps, lanes, source = slot_value_sources(schedule, matrix)
-        m_sch = np.zeros_like(schedule.m_sch)
-        m_sch[steps, lanes] = matrix.data[source]
-        return Schedule(
-            length=length,
-            shape=schedule.shape,
-            m_sch=m_sch,
-            row_sch=schedule.row_sch,
-            col_sch=schedule.col_sch,
-            window_colors=schedule.window_colors,
-        )
+        source = schedule.source
+        if not (
+            np.array_equal(matrix.rows[source], schedule.rows)
+            and np.array_equal(matrix.cols[source], schedule.cols)
+        ):
+            raise ColoringError(
+                "schedule refers to entries missing from the matrix; "
+                "pattern changed, full rescheduling required"
+            )
+        return schedule.with_values(matrix.data[source])
 
     # -- internals ----------------------------------------------------------
 
@@ -301,7 +298,7 @@ class GustScheduler:
                 rows, np.arange(windows + 1, dtype=np.int64) * length
             )
             local_rows = rows % length
-            colsegs = balanced.colseg_of_all(window_ids, matrix.cols, length)
+            colsegs = balanced.lanes
         else:
             window_ids = np.zeros(0, dtype=np.int64)
             window_starts = np.zeros(windows + 1, dtype=np.int64)
@@ -442,35 +439,3 @@ class GustScheduler:
             np.maximum.at(counts, partition.window_ids, colors + 1)
         return counts
 
-
-def slot_value_sources(
-    schedule: Schedule, matrix: CooMatrix
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Join occupied schedule slots to matrix entries by (row, col) key.
-
-    Returns (steps, lanes, source) such that slot ``(steps[k], lanes[k])``
-    carries ``matrix.data[source[k]]``.  Raises :class:`ColoringError` if
-    any slot's (row, col) is absent from the matrix (pattern change).
-    """
-    steps, lanes, global_rows = schedule.occupied_slots()
-    cols = schedule.col_sch[steps, lanes]
-    n = max(1, schedule.shape[1])
-    slot_keys = global_rows * np.int64(n) + cols
-    # Widen explicitly: matrices reconstituted from disk artifacts carry
-    # narrow index dtypes, and NumPy 1.x value-based casting would keep
-    # the product in int16/int32 and overflow the key space.
-    matrix_keys = (
-        matrix.rows.astype(np.int64, copy=False) * np.int64(n)
-        + matrix.cols.astype(np.int64, copy=False)
-    )
-    source = np.searchsorted(matrix_keys, slot_keys)
-    in_range = np.minimum(source, max(0, matrix_keys.size - 1))
-    missing = (source >= matrix_keys.size) | (matrix_keys[in_range] != slot_keys)
-    if missing.any():
-        bad = int(np.flatnonzero(missing)[0])
-        entry = (int(global_rows[bad]), int(cols[bad]))
-        raise ColoringError(
-            f"schedule refers to entry {entry} missing from matrix; "
-            "pattern changed, full rescheduling required"
-        )
-    return steps, lanes, source

@@ -24,30 +24,27 @@ so the container is built for load speed rather than generality:
 * the payload: raw little-endian array bytes at 64-byte-aligned offsets,
   materialized on load as zero-copy ``np.frombuffer`` views of one read.
 
-The payload stores the schedule in its *compact* form — the occupied-slot
-coordinates ``(steps, lanes)`` and each slot's source index into the
-balanced value stream — rather than the dense ``M_sch/Row_sch/Col_sch``
-triple, which is mostly empty slots.  The dense arrays are rebuilt with
-three O(nnz) scatters — *lazily*, on first access (plan-based replay
-never needs them); integer arrays are narrowed to the smallest sufficient
-dtype on write.  These choices shrink the artifact (and the checksum
-pass) by more than half and keep the warm-start path allocation-light.
+The payload stores the schedule's own slot arrays — each occupied slot's
+coordinates ``(steps, lanes)``, its window-local row and its source index
+into the balanced value stream — never the dense ``M_sch/Row_sch/Col_sch``
+triple, which is mostly empty slots; integer arrays are narrowed to the
+smallest sufficient dtype on write.  These choices shrink the artifact
+(and the checksum pass) by more than half and keep the warm-start path
+allocation-light.
 
-Version 3 additionally persists the slot arrays **pre-sorted by
-destination row** — the layout of the :class:`~repro.core.plan.
-ExecutionPlan` replay engine.  The dense-rebuild scatters are
-order-independent, so the sorted layout costs the reader nothing, and a
-disk warm start reconstitutes a replay-ready plan from the very gathers
-the rebuild already performs: no sort, no extra payload member.
-Version-2 artifacts (slot arrays in occupied-slot scan order) still load
-through every explicit-path API (:func:`load_schedule`, the CLI's
-``spmv``/``inspect``); the plan order is simply recompiled (one
-``argsort``) on the way in, so user-kept artifacts keep working at a
-small one-time cost.  The content-addressed store deliberately does
-*not* reach v2 artifacts: its keys embed the format version so
-generations stay isolated — in a mixed fleet, a v2-era reader would
-otherwise look up a v3 artifact, fail its version check, and quarantine
-a file the upgraded workers still want.  Old store entries miss once,
+Version 3 persists the slots in the :class:`Schedule`'s destination-row
+order, which is also the layout of the :class:`~repro.core.plan.
+ExecutionPlan` replay engine, so a disk warm start reconstitutes the
+schedule and a replay-ready plan from one gather per array: no sort, no
+extra payload member.  Version-2 artifacts (slot arrays in occupied-slot
+scan order) still load through every explicit-path API
+(:func:`load_schedule`, the CLI's ``spmv``/``inspect``); their slots are
+simply sorted (one ``argsort``) on the way in, so user-kept artifacts
+keep working at a small one-time cost.  The content-addressed store
+deliberately does *not* reach v2 artifacts: its keys embed the format
+version so generations stay isolated — in a mixed fleet, a v2-era reader
+would otherwise look up a v3 artifact, fail its version check, and
+quarantine a file the upgraded workers still want.  Old store entries miss once,
 reschedule, and age out of the byte budget.
 
 Writes are atomic: the container is written to a same-directory temporary
@@ -74,8 +71,7 @@ import numpy as np
 
 from repro.core.load_balance import BalancedMatrix
 from repro.core.plan import ExecutionPlan
-from repro.core.schedule import EMPTY, Schedule
-from repro.core.scheduler import slot_value_sources
+from repro.core.schedule import Schedule
 from repro.errors import ScheduleError
 from repro.sparse.coo import CooMatrix
 
@@ -87,8 +83,8 @@ _MAGIC = b"GUSTSCH\x00"
 #: the meaning of any member changes.
 _FORMAT_VERSION = 3
 
-#: Versions :func:`load_schedule_entry` accepts.  Version 2 lacks the
-#: persisted execution-plan sort; its plan is recompiled on load.
+#: Versions :func:`load_schedule_entry` accepts.  Version 2 persisted its
+#: slots in scan order; they are sorted on load.
 _COMPAT_VERSIONS = (2, 3)
 
 #: Prologue layout: magic, u32 version, u32 header length, u32 CRC-32 of
@@ -99,8 +95,8 @@ _PROLOGUE_BYTES = 24
 _ALIGN = 64
 
 #: Arrays every artifact carries.  ``slot_rows`` is each occupied slot's
-#: window-local destination row, precomputed so the dense ``Row_sch``
-#: rebuild is a bare scatter (no gather-and-mod pass).
+#: window-local destination row (its ``Row_sch`` entry), checked against
+#: the matrix row it sources from when loading with ``validate=True``.
 _REQUIRED = (
     "matrix_rows",
     "matrix_cols",
@@ -126,16 +122,11 @@ _OPTIONAL = ("inv_order", "data_order")
 class StoredSchedule:
     """Everything :func:`load_schedule_entry` recovers from one artifact.
 
-    ``slot_steps``/``slot_lanes``/``slot_source`` are the occupied-slot
-    coordinates and their balanced-data source indices — the same join
-    :func:`~repro.core.scheduler.slot_value_sources` computes, persisted so
-    a warm start skips it.  From format version 3 they arrive sorted by
-    destination row (the execution plan's layout); every consumer is a
-    scatter or an elementwise join, so the ordering is free to choose.
-    ``data_order`` (original-order data -> balanced order permutation) and
-    ``inv_order`` (its inverse) are present when the artifact was written
-    through a :class:`~repro.core.cache.ScheduleCache`, letting the cache
-    reconstruct its refresh entry without re-sorting.
+    ``inv_order`` (the balanced-order -> original-order value
+    permutation) is present when the artifact was written through a
+    :class:`~repro.core.cache.ScheduleCache`, letting the cache reconstruct
+    its refresh entry without re-deriving it; an artifact carrying the
+    forward ``data_order`` member hands it on as ``balanced.data_order``.
     """
 
     schedule: Schedule
@@ -143,15 +134,10 @@ class StoredSchedule:
     #: naive-policy stall count captured at scheduling time (0 for the
     #: coloring-based policies).
     stalls: int
-    slot_steps: np.ndarray
-    slot_lanes: np.ndarray
-    slot_source: np.ndarray
-    data_order: np.ndarray | None
     inv_order: np.ndarray | None
-    #: replay-ready execution plan: reconstituted without a sort from a
-    #: version-3 artifact's persisted ``plan_order``, recompiled (one
-    #: ``argsort``) for version-2 artifacts.
-    plan: ExecutionPlan | None = None
+    #: replay-ready execution plan, assembled from the schedule's slots
+    #: without a sort.
+    plan: ExecutionPlan
 
 
 def _compact_ints(arr: np.ndarray) -> np.ndarray:
@@ -278,106 +264,6 @@ def _load_container(
     return scalars, arrays, int(version)
 
 
-class _CompactSchedule(Schedule):
-    """A loaded schedule whose dense arrays materialize on first touch.
-
-    The artifact's compact slot representation is all the replay engine
-    needs (the :class:`~repro.core.plan.ExecutionPlan` is built from it
-    directly), so the (C_total, l) ``M_sch``/``Row_sch``/``Col_sch``
-    triple — several MB of mostly empty slots on large matrices — is
-    rebuilt only when something actually reads it (the cycle-accurate
-    machine, a value-refresh scatter, re-serialization, validation).
-    Derived quantities used on the hot path (``nnz``, ``total_colors``,
-    ``occupied_slots``) are answered from the compact form without
-    materializing.  Behaviorally identical to an eager
-    :class:`Schedule`; only the allocation time moves.
-    """
-
-    def __init__(
-        self,
-        length: int,
-        shape: tuple[int, int],
-        window_colors: tuple[int, ...],
-        total: int,
-        flat: np.ndarray,
-        slot_values: np.ndarray,
-        slot_rows: np.ndarray,
-        slot_cols: np.ndarray,
-    ):
-        # The dense fields are class-level properties (data descriptors),
-        # so the dataclass __init__ cannot be reused; set the scalar
-        # fields and the compact payload directly.
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "window_colors", window_colors)
-        object.__setattr__(self, "_total", total)
-        object.__setattr__(self, "_flat", flat)
-        object.__setattr__(self, "_slot_values", slot_values)
-        object.__setattr__(self, "_slot_rows", slot_rows)
-        object.__setattr__(self, "_slot_cols", slot_cols)
-        object.__setattr__(self, "_dense", None)
-
-    def _materialize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        dense = self._dense
-        if dense is None:
-            total, length = self._total, self.length
-            m_sch = np.zeros(total * length, dtype=np.float64)
-            row_sch = np.full(total * length, EMPTY, dtype=np.int64)
-            col_sch = np.full(total * length, EMPTY, dtype=np.int64)
-            if self._slot_values.size:
-                try:
-                    m_sch[self._flat] = self._slot_values
-                    row_sch[self._flat] = self._slot_rows
-                    col_sch[self._flat] = self._slot_cols
-                except IndexError as err:
-                    raise ScheduleError(
-                        "schedule artifact holds out-of-range slot indices"
-                    ) from err
-            dense = (
-                m_sch.reshape(total, length),
-                row_sch.reshape(total, length),
-                col_sch.reshape(total, length),
-            )
-            object.__setattr__(self, "_dense", dense)
-        return dense
-
-    @property
-    def m_sch(self) -> np.ndarray:  # type: ignore[override]
-        return self._materialize()[0]
-
-    @property
-    def row_sch(self) -> np.ndarray:  # type: ignore[override]
-        return self._materialize()[1]
-
-    @property
-    def col_sch(self) -> np.ndarray:  # type: ignore[override]
-        return self._materialize()[2]
-
-    # Hot-path derived quantities, answered without materializing.
-
-    @property
-    def total_colors(self) -> int:
-        return int(self._total)
-
-    @property
-    def nnz(self) -> int:
-        return int(self._slot_values.size)
-
-    @property
-    def occupancy(self) -> float:
-        slots = self._total * self.length
-        return self.nnz / slots if slots else 0.0
-
-    def occupied_slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        steps = self._flat // self.length
-        lanes = self._flat % self.length
-        global_rows = (
-            self.window_of_timestep()[steps] * self.length
-            + self._slot_rows.astype(np.int64)
-        )
-        return steps, lanes, global_rows
-
-
 def _check_range(name: str, arr: np.ndarray, lo: int, hi: int) -> None:
     """Bounds-check an index array before it drives any fancy indexing."""
     if arr.size and (int(arr.min()) < lo or int(arr.max()) >= hi):
@@ -392,52 +278,20 @@ def save_schedule(
     balanced: BalancedMatrix,
     *,
     stalls: int = 0,
-    slots: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     data_order: np.ndarray | None = None,
-    plan_order: np.ndarray | None = None,
 ) -> None:
     """Atomically write a schedule and its balancing metadata to ``path``.
 
     Args:
         path: destination artifact file.
-        schedule / balanced: the preprocessing result to persist.
+        schedule / balanced: the preprocessing result to persist.  The
+            schedule's slot arrays are written as they are (destination-row
+            order), so a reader needs no sort.
         stalls: naive-policy stall count to carry alongside the schedule.
-        slots: precomputed ``(steps, lanes, source)`` occupied-slot join
-            (as from :func:`~repro.core.scheduler.slot_value_sources`);
-            computed here when omitted.
         data_order: optional original-order -> balanced-order value
             permutation, persisted so the cache tier can warm-start
-            without re-sorting.
-        plan_order: the execution plan's stable destination-row sort over
-            the slot arrays (as from :attr:`~repro.core.plan.
-            ExecutionPlan.slot_order`); computed here when omitted.  The
-            slot arrays are persisted *pre-sorted* by this order — the
-            rebuild scatters on load are order-independent, so a version-3
-            artifact yields a replay-ready plan from the very gathers the
-            dense rebuild already performs, with no sort and no extra
-            payload member.
+            without re-deriving it.
     """
-    if slots is None:
-        steps, lanes, source = slot_value_sources(schedule, balanced.matrix)
-    else:
-        steps, lanes, source = slots
-    source = np.asarray(source, dtype=np.intp)
-    if plan_order is None:
-        # The slots' global destination rows are the balanced matrix rows
-        # they source from; their stable sort is the plan order.
-        plan_order = np.argsort(balanced.matrix.rows[source], kind="stable")
-    plan_order = np.asarray(plan_order, dtype=np.intp)
-    steps = np.asarray(steps)[plan_order]
-    lanes = np.asarray(lanes)[plan_order]
-    source = source[plan_order]
-
-    map_cols_parts = [cols for cols, _ in balanced.window_col_maps]
-    map_lanes_parts = [lanes_part for _, lanes_part in balanced.window_col_maps]
-    sizes = np.array([c.size for c in map_cols_parts], dtype=np.int64)
-    offsets = np.zeros(sizes.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    empty = np.zeros(0, dtype=np.int64)
-
     m, n = schedule.shape
     scalars = {
         "length": int(schedule.length),
@@ -449,22 +303,16 @@ def save_schedule(
         "matrix_cols": _compact_ints(balanced.matrix.cols),
         "matrix_data": np.asarray(balanced.matrix.data, dtype=np.float64),
         "row_perm": _compact_ints(balanced.row_perm),
-        "map_cols": _compact_ints(
-            np.concatenate(map_cols_parts) if map_cols_parts else empty
-        ),
-        "map_lanes": _compact_ints(
-            np.concatenate(map_lanes_parts) if map_lanes_parts else empty
-        ),
-        "map_offsets": _compact_ints(offsets),
+        "map_cols": _compact_ints(balanced.map_cols),
+        "map_lanes": _compact_ints(balanced.map_lanes),
+        "map_offsets": _compact_ints(balanced.map_offsets),
         "window_colors": _compact_ints(
             np.asarray(schedule.window_colors, dtype=np.int64)
         ),
-        "slot_steps": _compact_ints(steps),
-        "slot_lanes": _compact_ints(lanes),
-        "slot_rows": _compact_ints(
-            balanced.matrix.rows[source] % schedule.length
-        ),
-        "slot_source": _compact_ints(source),
+        "slot_steps": _compact_ints(schedule.steps),
+        "slot_lanes": _compact_ints(schedule.lanes),
+        "slot_rows": _compact_ints(schedule.rows % schedule.length),
+        "slot_source": _compact_ints(schedule.source),
     }
     if data_order is not None:
         # Persist only the inverse (balanced -> original): a warm start
@@ -489,7 +337,7 @@ def load_schedule_entry(
     :class:`FileNotFoundError` untouched so callers can distinguish "never
     persisted" from "persisted but corrupt".
 
-    ``validate=False`` skips the two O(nnz log nnz) logical checks and is
+    ``validate=False`` skips the logical checks and is
     meant for the disk store's hot warm-start path: an artifact that
     passes its checksum is byte-identical to what :func:`save_schedule`
     wrote, so the residual risk is a writer bug, not disk corruption.
@@ -550,8 +398,8 @@ def load_schedule_entry(
     # bytes, but a *writer bug* could still persist out-of-range indices,
     # and the store's quarantine contract requires that to surface as a
     # clean ScheduleError at load time — not a bare IndexError escaping
-    # the lookup, or a deferred failure from the lazy dense rebuild after
-    # the entry has already been served.  Each check is one O(nnz)
+    # the lookup, or a deferred failure from a gather or the lazy dense
+    # view after the entry has already been served.  Each check is one O(nnz)
     # min/max pass over a narrow array.
     _check_range("matrix_rows", rows, 0, max(m, 1))
     _check_range("matrix_cols", cols, 0, max(n, 1))
@@ -566,28 +414,24 @@ def load_schedule_entry(
                 "slot_rows disagree with the matrix rows they index"
             )
 
-    # The dense Section 3.3 triple is *deferred*: the compact slot form
-    # is everything the plan-based replay needs, so the (C_total, l)
-    # arrays — mostly empty slots — rebuild lazily on first access
-    # (three O(nnz) scatters at that point; see :class:`_CompactSchedule`).
-    # The gathers below are shared with the execution-plan rebuild.
+    # The schedule is its slot arrays: one gather per array through the
+    # slot sources, shared with the execution plan below.  Version 2
+    # persisted the slots in scan order (step, then lane); a stable sort by
+    # destination row restores the schedule's (row, step) order.
     slot_source = source.astype(np.intp)
-    slot_values = data[slot_source] if nnz else data[:0]
-    slot_cols = cols[slot_source] if nnz else cols[:0]
-    flat = (
-        steps.astype(np.intp) * length + lanes
-        if nnz
-        else np.zeros(0, dtype=np.intp)
-    )
-    schedule = _CompactSchedule(
+    if version < 3:
+        order = np.argsort(rows[slot_source], kind="stable")
+        slot_source, steps, lanes = slot_source[order], steps[order], lanes[order]
+    schedule = Schedule(
         length=length,
         shape=(m, n),
         window_colors=tuple(window_colors.tolist()),
-        total=total,
-        flat=flat,
-        slot_values=slot_values,
-        slot_rows=slot_rows,
-        slot_cols=slot_cols,
+        steps=steps,
+        lanes=lanes,
+        rows=rows[slot_source].astype(np.intp, copy=False),
+        cols=cols[slot_source].astype(np.intp, copy=False),
+        values=data[slot_source],
+        source=slot_source,
     )
 
     row_perm = arrays["row_perm"]
@@ -598,7 +442,6 @@ def load_schedule_entry(
     _check_range("row_perm", row_perm, 0, max(m, 1))
     if validate:
         row_perm = row_perm.astype(np.int64)
-    matrix = CooMatrix(rows=rows, cols=cols, data=data, shape=(m, n))
 
     offsets = arrays["map_offsets"].astype(np.int64)
     map_cols = arrays["map_cols"].astype(np.int64)
@@ -613,13 +456,6 @@ def load_schedule_entry(
         raise ScheduleError(
             f"schedule file {path} has inconsistent window map offsets"
         )
-    bounds = offsets.tolist()
-    maps = [
-        (map_cols[lo:hi], map_lanes[lo:hi])
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    balanced = BalancedMatrix(matrix=matrix, row_perm=row_perm, window_col_maps=maps)
-
     data_order = arrays.get("data_order")
     inv_order = arrays.get("inv_order")
     if data_order is not None:
@@ -633,39 +469,30 @@ def load_schedule_entry(
             raise ScheduleError("inv_order length does not match nnz")
         _check_range("inv_order", inv_order, 0, max(nnz, 1))
 
-    # Reconstitute the replay-ready execution plan.  A version-3 artifact
-    # persists its slot arrays already in destination-row order, so the
-    # plan is assembled from the gathers the dense rebuild just performed
-    # — no sort, no extra gathers beyond the per-slot row lookup.  A
-    # version-2 artifact (scan-ordered slots) recompiles the sort.
-    plan_rows = rows[slot_source] if nnz else rows[:0]
-    if version >= 3:
-        plan = ExecutionPlan.from_sorted(
-            length=length,
-            shape=(m, n),
-            values=slot_values,
-            sources=slot_cols,
-            rows=plan_rows,
-            slot_order=None,
-            row_perm=row_perm,
-            value_source=slot_source,
-        )
-    else:
-        plan_order = np.argsort(plan_rows, kind="stable").astype(np.intp)
-        source_sorted = slot_source[plan_order]
-        plan = ExecutionPlan.from_sorted(
-            length=length,
-            shape=(m, n),
-            values=data[source_sorted],
-            sources=cols[source_sorted],
-            rows=plan_rows[plan_order],
-            slot_order=plan_order,
-            row_perm=row_perm,
-            value_source=source_sorted,
-        )
+    # Every entry's lane is its slot's lane.
+    entry_lanes = np.empty(nnz, dtype=np.int64)
+    entry_lanes[slot_source] = lanes
+    balanced = BalancedMatrix(
+        matrix=CooMatrix(rows=rows, cols=cols, data=data, shape=(m, n)),
+        row_perm=row_perm,
+        lanes=entry_lanes,
+        map_cols=map_cols,
+        map_lanes=map_lanes,
+        map_offsets=offsets,
+        data_order=data_order,
+    )
+    plan = ExecutionPlan.from_sorted(
+        length=length,
+        shape=(m, n),
+        values=schedule.values,
+        sources=schedule.cols,
+        rows=schedule.rows,
+        row_perm=row_perm,
+        value_source=slot_source,
+    )
 
     if validate:
-        # Canonical order underpins every searchsorted join downstream.
+        # Canonical order underpins the row-block gathers downstream.
         keys = rows * np.int64(max(n, 1)) + cols
         if keys.size > 1 and not (np.diff(keys) > 0).all():
             raise ScheduleError(
@@ -675,13 +502,6 @@ def load_schedule_entry(
             counts = np.bincount(data_order, minlength=nnz)
             if counts.max() != 1:
                 raise ScheduleError("data_order is not a permutation")
-        # Count occupancy from the (materialized) dense arrays, not the
-        # compact slot count: duplicate (step, lane) coordinates merge in
-        # the scatter and must be caught here.
-        if int((schedule.row_sch != EMPTY).sum()) != nnz:
-            raise ScheduleError(
-                "slot coordinates collide; fewer occupied slots than nonzeros"
-            )
         schedule.validate()
         # Schedule-level diagnostics first (collisions, ranges), then the
         # plan's own structural checks (sortedness, segment boundaries).
@@ -691,10 +511,6 @@ def load_schedule_entry(
         schedule=schedule,
         balanced=balanced,
         stalls=stalls,
-        slot_steps=steps,
-        slot_lanes=lanes,
-        slot_source=source,
-        data_order=data_order,
         inv_order=inv_order,
         plan=plan,
     )

@@ -304,19 +304,16 @@ class DiskScheduleStore:
         schedule: Schedule,
         balanced: BalancedMatrix,
         stalls: int = 0,
-        slots: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         data_order: np.ndarray | None = None,
-        plan_order: np.ndarray | None = None,
     ) -> bool:
         """Persist one schedule under ``key``; returns False on I/O failure.
 
-        ``slots``/``data_order``/``plan_order`` are forwarded to
+        ``data_order`` is forwarded to
         :func:`~repro.core.serialize.save_schedule` so a cache tier that
-        already computed the refresh joins and the execution plan persists
-        them for free.  Write failures (disk full, permissions) are
-        absorbed and counted — a serving system must keep answering
-        queries when its cache directory is sick — but the artifact is
-        then simply absent.
+        holds the balancer's value order persists it for free.  Write
+        failures (disk full, permissions) are absorbed and counted — a
+        serving system must keep answering queries when its cache
+        directory is sick — but the artifact is then simply absent.
 
         The post-write budget eviction never sacrifices the artifact this
         call just wrote while older ones remain (newest-in is the one the
@@ -336,9 +333,7 @@ class DiskScheduleStore:
                     schedule,
                     balanced,
                     stalls=stalls,
-                    slots=slots,
                     data_order=data_order,
-                    plan_order=plan_order,
                 )
         except OSError:
             self._write_errors += 1

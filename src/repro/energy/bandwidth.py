@@ -14,7 +14,7 @@ system busy while 1D's dense-with-zeros stream wastes it.
 
 from __future__ import annotations
 
-from repro.core.schedule import EMPTY, Schedule
+from repro.core.schedule import Schedule
 from repro.errors import HardwareConfigError
 from repro.hw.memory import row_index_bits, timestep_bits
 from repro.sparse.coo import CooMatrix
@@ -40,8 +40,7 @@ def average_bandwidth_gbps(schedule: Schedule, frequency_hz: float) -> float:
     if cycles == 0:
         return 0.0
     bits_per_element = 64 + row_index_bits(schedule.length)
-    occupied = int((schedule.row_sch != EMPTY).sum())
-    total_bits = occupied * bits_per_element + schedule.total_colors
+    total_bits = schedule.nnz * bits_per_element + schedule.total_colors
     seconds = cycles / frequency_hz
     return total_bits / 8.0 / 1e9 / seconds
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.load_balance import BalancedMatrix
-from repro.core.schedule import EMPTY, Schedule
+from repro.core.schedule import Schedule
 from repro.sparse.coo import CooMatrix
 from repro.sparse.stats import require_positive_length
 
@@ -37,8 +37,9 @@ def schedule_occupancy(
     Rows are (binned) timesteps, columns are (binned) multiplier lanes;
     darker cells mean fuller buffer slots.
     """
-    occupied = (schedule.row_sch != EMPTY).astype(np.float64)
-    steps, lanes = occupied.shape
+    steps, lanes = schedule.total_colors, schedule.length
+    occupied = np.zeros((steps, lanes), dtype=np.float64)
+    occupied[schedule.steps, schedule.lanes] = 1.0
     if steps == 0:
         return "(empty schedule)"
     height = min(height, steps)

@@ -151,11 +151,9 @@ def _scheduler_phase(seed: int) -> bool:
         balanced
     )
     serial = GustScheduler(_LENGTH, jobs=1).schedule_balanced(balanced)
-    return (
-        chaotic.m_sch.tobytes() == serial.m_sch.tobytes()
-        and chaotic.row_sch.tobytes() == serial.row_sch.tobytes()
-        and chaotic.col_sch.tobytes() == serial.col_sch.tobytes()
-        and chaotic.window_colors == serial.window_colors
+    return chaotic.window_colors == serial.window_colors and all(
+        getattr(chaotic, name).tobytes() == getattr(serial, name).tobytes()
+        for name in ("steps", "lanes", "rows", "cols", "values", "source")
     )
 
 

@@ -146,11 +146,40 @@ class CooMatrix:
         ``perm`` must be a permutation of ``range(m)``.  Used by the load
         balancer, whose Step 1 sorts rows by nonzero count.
         """
+        order = self.row_order(perm)
         perm = np.asarray(perm, dtype=np.int64)
-        if not _is_permutation(perm, self.shape[0]):
+        return CooMatrix(
+            rows=perm[self.rows[order]],
+            cols=self.cols[order],
+            data=self.data[order],
+            shape=self.shape,
+        )
+
+    def row_order(self, perm: np.ndarray) -> np.ndarray:
+        """Gather index taking this matrix's entries to ``permute_rows(perm)``.
+
+        Entry ``k`` of the permuted matrix is entry ``row_order(perm)[k]``
+        of this one.  The matrix is canonical, so each row is a contiguous
+        block already in column order and the permuted order is those
+        blocks laid out by destination row: an O(nnz + m) gather, no sort.
+        """
+        perm = np.asarray(perm, dtype=np.int64)
+        m = self.shape[0]
+        if not _is_permutation(perm, m):
             raise MatrixFormatError("perm is not a permutation of range(m)")
-        return CooMatrix.from_arrays(
-            perm[self.rows], self.cols, self.data, self.shape
+        counts = self.row_counts()
+        starts = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(counts, out=starts[1:])
+        source_row = np.empty(m, dtype=np.int64)
+        source_row[perm] = np.arange(m, dtype=np.int64)
+        moved_counts = counts[source_row]
+        moved_starts = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(moved_counts, out=moved_starts[1:])
+        # Position k of destination row r reads entry
+        # starts[source_row[r]] + (k - moved_starts[r]).
+        shift = starts[source_row] - moved_starts[:-1]
+        return np.arange(self.nnz, dtype=np.int64) + np.repeat(
+            shift, moved_counts
         )
 
     def permute_cols(self, perm: np.ndarray) -> "CooMatrix":

@@ -359,7 +359,6 @@ class TestCompiledSpmvHandle:
                 values=np.array([1.0, 2.0, 3.0]),
                 sources=np.array(sources),
                 rows=np.array([0, 1, 2]),
-                slot_order=None,
                 row_perm=np.arange(4),
             )
 

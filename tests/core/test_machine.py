@@ -76,24 +76,16 @@ class TestExecution:
 
 class TestGuards:
     def test_collision_detection(self, small_matrix, rng):
-        from repro.core.schedule import EMPTY, Schedule
+        from dataclasses import replace
 
         pipeline = GustPipeline(16, validate=True)
         schedule, balanced, _ = pipeline.preprocess(small_matrix)
-        row_sch = schedule.row_sch.copy()
-        for step in range(schedule.total_colors):
-            lanes = np.nonzero(row_sch[step] != EMPTY)[0]
-            if lanes.size >= 2:
-                row_sch[step, lanes[1]] = row_sch[step, lanes[0]]
-                break
-        corrupted = Schedule(
-            length=schedule.length,
-            shape=schedule.shape,
-            m_sch=schedule.m_sch,
-            row_sch=row_sch,
-            col_sch=schedule.col_sch,
-            window_colors=schedule.window_colors,
-        )
+        # Alias the adders of two slots that share a timestep.
+        step = np.bincount(schedule.steps).argmax()
+        first, second = np.flatnonzero(schedule.steps == step)[:2]
+        rows = schedule.rows.copy()
+        rows[second] = rows[first]
+        corrupted = replace(schedule, rows=rows)
         with pytest.raises(CollisionError, match="routed"):
             GustMachine(16).run(corrupted, rng.normal(size=small_matrix.shape[1]))
 

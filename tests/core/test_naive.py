@@ -118,7 +118,7 @@ class TestFlatKernel:
         balanced = identity_balance(matrix, length)
         window_ids = matrix.rows // length
         local_rows = matrix.rows % length
-        colsegs = balanced.colseg_of_all(window_ids, matrix.cols, length)
+        colsegs = balanced.lanes
         graphs = reference_window_graphs(balanced, length)
         starts = np.searchsorted(window_ids, np.arange(len(graphs) + 1))
 

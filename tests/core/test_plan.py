@@ -45,11 +45,30 @@ class TestCompile:
             schedule, balanced
         )
 
-    def test_from_schedule_without_slots(self, prepared):
+    def test_from_schedule_shares_slot_arrays(self, prepared):
+        """The schedule's slots are in plan order: compiling copies and
+        sorts nothing, and every plan can refresh its values."""
         _, schedule, balanced = prepared
         plan = ExecutionPlan.from_schedule(schedule, row_perm=balanced.row_perm)
         plan.validate()
-        assert plan.value_source is None
+        assert plan.values is schedule.values
+        assert plan.rows is schedule.rows
+        np.testing.assert_array_equal(plan.value_source, schedule.source)
+        stream = balanced.matrix.data * 2.0
+        np.testing.assert_array_equal(
+            plan.with_values(stream).values, stream[schedule.source]
+        )
+
+    def test_plan_without_value_source_cannot_refresh(self, prepared):
+        _, schedule, balanced = prepared
+        plan = ExecutionPlan.from_sorted(
+            length=schedule.length,
+            shape=schedule.shape,
+            values=schedule.values,
+            sources=schedule.cols,
+            rows=schedule.rows,
+            row_perm=balanced.row_perm,
+        )
         with pytest.raises(ScheduleError, match="value-source"):
             plan.with_values(np.zeros(plan.nnz))
 
@@ -278,9 +297,7 @@ class TestScratchBuffer:
         schedule, balanced, _ = pipeline.preprocess(square_matrix)
         plan = pipeline.plan_for(schedule, balanced)
         plan.execute(rng.normal(size=square_matrix.shape[1]))
-        refreshed = plan.with_values(plan.values[plan.slot_order.argsort()]
-                                     if plan.slot_order is not None
-                                     else plan.values)
+        refreshed = plan.with_values(balanced.matrix.data)
         assert not hasattr(refreshed._scratch, "products")
 
 

@@ -81,57 +81,45 @@ class TestRoundtrip:
         assert entry.stalls == stalls
 
     def test_window_col_maps_roundtrip_exactly(self, square_matrix, tmp_path):
-        """The flattened map encoding restores every per-window pair."""
+        """The flat map encoding and every entry's lane come back exactly."""
         pipeline = GustPipeline(32)
         schedule, balanced, _ = pipeline.preprocess(square_matrix)
         path = tmp_path / "maps.sched"
         save_schedule(path, schedule, balanced)
         _, loaded = load_schedule(path)
-        assert len(loaded.window_col_maps) == len(balanced.window_col_maps)
-        for (cols, lanes), (got_cols, got_lanes) in zip(
-            balanced.window_col_maps, loaded.window_col_maps
-        ):
-            np.testing.assert_array_equal(got_cols, cols)
-            np.testing.assert_array_equal(got_lanes, lanes)
+        for name in ("map_cols", "map_lanes", "map_offsets", "lanes"):
+            np.testing.assert_array_equal(
+                getattr(loaded, name), getattr(balanced, name)
+            )
 
     def test_slot_join_and_data_order_roundtrip(self, square_matrix, tmp_path):
-        """Persisted joins equal what a cold scheduler would recompute."""
-        from repro.core.scheduler import slot_value_sources
-
+        """The persisted slots are the schedule's, in its order, and the
+        persisted inverse inverts the balancer's value order."""
         pipeline = GustPipeline(32)
         schedule, balanced, _ = pipeline.preprocess(square_matrix)
-        steps, lanes, source = slot_value_sources(schedule, balanced.matrix)
         order = np.lexsort(
             (square_matrix.cols, balanced.row_perm[square_matrix.rows])
         )
+        np.testing.assert_array_equal(balanced.data_order, order)
         path = tmp_path / "joined.sched"
-        save_schedule(
-            path, schedule, balanced,
-            slots=(steps, lanes, source), data_order=order,
-        )
+        save_schedule(path, schedule, balanced, data_order=order)
         entry = load_schedule_entry(path)
-        # Version 3 persists the slot join pre-sorted by destination row
-        # (the execution plan's layout); the reordering is a permutation
-        # of the scan-order join the writer was given.
-        plan_order = np.argsort(balanced.matrix.rows[source], kind="stable")
-        np.testing.assert_array_equal(entry.slot_steps, steps[plan_order])
-        np.testing.assert_array_equal(entry.slot_lanes, lanes[plan_order])
-        np.testing.assert_array_equal(entry.slot_source, source[plan_order])
+        for name in ("steps", "lanes", "rows", "cols", "values", "source"):
+            np.testing.assert_array_equal(
+                getattr(entry.schedule, name), getattr(schedule, name)
+            )
         # Only the inverse permutation is persisted; it must invert the
         # data_order the writer was given.
         inverse = np.empty_like(order)
         inverse[order] = np.arange(order.size)
         np.testing.assert_array_equal(entry.inv_order, inverse)
 
-        # Omitting the joins computes them at save time instead.
+        # Without a data order the artifact carries neither permutation.
         bare = tmp_path / "bare.sched"
         save_schedule(bare, schedule, balanced)
         recomputed = load_schedule_entry(bare)
-        np.testing.assert_array_equal(recomputed.slot_steps, steps[plan_order])
-        np.testing.assert_array_equal(
-            recomputed.slot_source, source[plan_order]
-        )
-        assert recomputed.data_order is None
+        np.testing.assert_array_equal(recomputed.schedule.source, schedule.source)
+        assert recomputed.balanced.data_order is None
         assert recomputed.inv_order is None
 
     def test_atomic_write_leaves_no_temporaries(self, square_matrix, tmp_path):
@@ -289,12 +277,11 @@ class TestExecutionPlanPersistence:
         schedule, balanced, _ = pipeline.preprocess(square_matrix)
         live = pipeline.plan_for(schedule, balanced)
         path = tmp_path / "ordered.sched"
-        save_schedule(path, schedule, balanced, plan_order=live.slot_order)
+        save_schedule(path, schedule, balanced)
         entry = load_schedule_entry(path)
-        # The artifact's slots are persisted pre-sorted, so the loaded
-        # plan's slot order is the identity (None) — but its sorted
-        # arrays must equal the live plan's exactly.
-        assert entry.plan.slot_order is None
+        # The artifact's slots are persisted in plan order, so the loaded
+        # plan's arrays must equal the live plan's exactly.
+        np.testing.assert_array_equal(entry.plan.value_source, live.value_source)
         np.testing.assert_array_equal(entry.plan.rows, live.rows)
         np.testing.assert_array_equal(entry.plan.values, live.values)
         np.testing.assert_array_equal(entry.plan.sources, live.sources)

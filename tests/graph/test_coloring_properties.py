@@ -61,7 +61,7 @@ def _flat_partition(matrix, length):
     local_rows = (
         matrix.rows % length if matrix.nnz else np.zeros(0, dtype=np.int64)
     )
-    colsegs = balanced.colseg_of_all(window_ids, matrix.cols, length)
+    colsegs = balanced.lanes
     window_starts = np.searchsorted(
         window_ids, np.arange(n_windows + 1, dtype=np.int64)
     )

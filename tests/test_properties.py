@@ -8,10 +8,13 @@ product.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import GustPipeline, GustScheduler, GustSpmm
+from repro import CooMatrix, GustPipeline, GustScheduler, GustSpmm
 from repro.core.load_balance import LoadBalancer, identity_balance
+from repro.errors import MatrixFormatError
 from tests.strategies import coo_matrices
 
 LENGTH = 8
@@ -90,6 +93,9 @@ class TestBalancingInvariants:
             mask = window_of_row == w
             cols = balanced.matrix.cols[mask]
             segs = balanced.colseg_of(w, cols, LENGTH)
+            # The per-entry lanes the scheduler colors against are the
+            # window maps' lanes.
+            np.testing.assert_array_equal(balanced.lanes[mask], segs)
             if segs.size:
                 assert segs.min() >= 0
                 assert segs.max() < LENGTH
@@ -97,6 +103,90 @@ class TestBalancingInvariants:
                 pairs = {}
                 for col, seg in zip(cols.tolist(), segs.tolist()):
                     assert pairs.setdefault(col, seg) == seg
+
+    @given(coo_matrices(max_dim=40), st.sampled_from([1, 3, LENGTH]))
+    @settings(max_examples=40, deadline=None)
+    def test_flat_maps_match_per_window_steps_2_3(self, matrix, length):
+        """Steps 2-3 spelled out window by window: count each column,
+        order by (count descending, column ascending), deal snake-wise."""
+        balanced = LoadBalancer(length).balance(matrix)
+        windows = -(-matrix.shape[0] // length)
+        assert balanced.map_offsets.shape == (windows + 1,)
+        for w in range(windows):
+            lo, hi = balanced.map_offsets[w], balanced.map_offsets[w + 1]
+            mask = balanced.matrix.rows // length == w
+            cols, counts = np.unique(
+                balanced.matrix.cols[mask], return_counts=True
+            )
+            lanes = np.empty(cols.size, dtype=np.int64)
+            for rank, k in enumerate(np.lexsort((cols, -counts))):
+                dealt, offset = divmod(rank, length)
+                lanes[k] = offset if dealt % 2 == 0 else length - 1 - offset
+            np.testing.assert_array_equal(balanced.map_cols[lo:hi], cols)
+            np.testing.assert_array_equal(balanced.map_lanes[lo:hi], lanes)
+            np.testing.assert_array_equal(
+                balanced.lanes[mask],
+                balanced.colseg_of(w, balanced.matrix.cols[mask], length),
+            )
+
+    @given(coo_matrices(max_dim=40))
+    @settings(max_examples=30, deadline=None)
+    def test_data_order_maps_original_values(self, matrix):
+        balanced = LoadBalancer(LENGTH).balance(matrix)
+        np.testing.assert_array_equal(
+            balanced.matrix.data, matrix.data[balanced.data_order]
+        )
+        np.testing.assert_array_equal(
+            balanced.data_order,
+            np.lexsort((matrix.cols, balanced.row_perm[matrix.rows])),
+        )
+
+
+class TestRowPermutation:
+    """The sort-free row permutation against re-canonicalizing triplets."""
+
+    @staticmethod
+    def _assert_matches_from_arrays(matrix, perm):
+        moved = matrix.permute_rows(perm)
+        expected = CooMatrix.from_arrays(
+            perm[matrix.rows], matrix.cols, matrix.data, matrix.shape
+        )
+        assert moved == expected
+        assert moved.rows.dtype == expected.rows.dtype == np.int64
+        order = matrix.row_order(perm)
+        np.testing.assert_array_equal(moved.data, matrix.data[order])
+
+    @given(coo_matrices(max_dim=40), st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_permutation(self, matrix, seed):
+        perm = np.random.default_rng(seed).permutation(matrix.shape[0])
+        self._assert_matches_from_arrays(matrix, perm)
+
+    def test_empty_rows_and_reversal(self):
+        matrix = CooMatrix.from_arrays(
+            [0, 0, 3, 5, 5, 5], [1, 4, 0, 0, 2, 3], np.arange(1.0, 7.0), (7, 5)
+        )
+        self._assert_matches_from_arrays(matrix, np.arange(7)[::-1].copy())
+        self._assert_matches_from_arrays(matrix, np.array([6, 0, 5, 1, 4, 2, 3]))
+
+    def test_no_rows(self):
+        self._assert_matches_from_arrays(
+            CooMatrix.empty((0, 5)), np.zeros(0, dtype=np.int64)
+        )
+
+    def test_single_row(self):
+        matrix = CooMatrix.from_arrays([0, 0], [2, 0], [1.0, 2.0], (1, 3))
+        self._assert_matches_from_arrays(matrix, np.array([0]))
+
+    @pytest.mark.parametrize(
+        "perm", [[0, 0, 1], [0, 1], [0, 1, 3], [-1, 0, 1]]
+    )
+    def test_rejects_non_permutations(self, perm):
+        matrix = CooMatrix.from_arrays([0, 2], [1, 1], [1.0, 2.0], (3, 3))
+        with pytest.raises(MatrixFormatError, match="permutation"):
+            matrix.permute_rows(np.array(perm))
+        with pytest.raises(MatrixFormatError, match="permutation"):
+            matrix.row_order(np.array(perm))
 
 
 class TestExecutionAgreement:
